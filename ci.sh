@@ -106,6 +106,16 @@ if dune exec bin/chaoscheck.exe -- diff "$rstore" "$store" > "$rstore/diff.out";
 fi
 grep -q '^dataset/' "$rstore/diff.out"
 
+# parallel-scan race smoke: the measurement pool's Domains share the
+# signature memo and the intern table. Three --jobs 4 scans must each finish
+# inside 60 s and print the --jobs 1 table above byte-for-byte, so a hang or
+# a divergent table fails here.
+for run in 1 2 3; do
+  timeout 60 ./_build/default/bin/chaoscheck.exe scan --scale 0.002 --jobs 4 \
+    --format json > "$rstore/race$run.json"
+  cmp "$rstore/scan.json" "$rstore/race$run.json"
+done
+
 # netd smoke: chaind on a loopback Unix socket via `serve --listen`, loaded
 # by 8 concurrent loadgen connections; replies must be byte-identical to the
 # serial stdio path, SIGTERM must drain gracefully (exit 0 with every reply

@@ -15,9 +15,13 @@ let signature_oid_name = function
   | Ecdsa_p256 -> "ecdsa-with-SHA256"
   | Ecdsa_p384 -> "ecdsa-with-SHA384"
 
-type public_key = { alg : algorithm; material : string }
+type public_key = { alg : algorithm; material : string; fp : string }
 type private_key = { public : public_key; secret : string }
 type signature = { sig_alg : algorithm; sig_bytes : string }
+
+(* The fingerprint is part of every signature and verification, so it is
+   hashed once, when the key is made. *)
+let make_public alg material = { alg; material; fp = Sha256.digest material }
 
 let material_size = function
   | Rsa_1024 -> 128
@@ -31,25 +35,25 @@ let import_public alg material =
     Error
       (Printf.sprintf "key material length %d does not match %s"
          (String.length material) (algorithm_to_string alg))
-  else Ok { alg; material }
+  else Ok (make_public alg material)
 
 let generate rng alg =
   let material = Prng.bytes rng (material_size alg) in
   (* The "secret" is derived but never exposed; only sign uses it. *)
   let secret = Sha256.digest ("secret:" ^ material) in
-  { public = { alg; material }; secret }
+  { public = make_public alg material; secret }
 
 let public_of_private priv = priv.public
-let fingerprint pub = Sha256.digest pub.material
+let fingerprint pub = pub.fp
 let key_id pub = String.sub (fingerprint pub) 0 20
 
 let sign priv msg =
   ignore priv.secret;
   { sig_alg = priv.public.alg;
-    sig_bytes = Sha256.digest (msg ^ fingerprint priv.public) }
+    sig_bytes = Sha256.digest (msg ^ priv.public.fp) }
 
 let verify pub msg s =
-  s.sig_alg = pub.alg && String.equal s.sig_bytes (Sha256.digest (msg ^ fingerprint pub))
+  s.sig_alg = pub.alg && String.equal s.sig_bytes (Sha256.digest (msg ^ pub.fp))
 
 let forge_garbage rng alg = { sig_alg = alg; sig_bytes = Prng.bytes rng 32 }
 

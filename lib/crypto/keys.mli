@@ -31,9 +31,10 @@ val signature_oid_name : algorithm -> string
 (** The signature-algorithm identifier a certificate signed by a key of this
     type carries, e.g. ["sha256WithRSAEncryption"]. *)
 
-type public_key = private { alg : algorithm; material : string }
+type public_key = private { alg : algorithm; material : string; fp : string }
 (** Public half; [material] is opaque simulated key material whose SHA-256
-    fingerprint identifies the key. *)
+    fingerprint [fp] identifies the key. [fp] is computed once, when the key
+    is generated or imported. *)
 
 type private_key
 (** Secret half; kept abstract so signatures can only be minted through

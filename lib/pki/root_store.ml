@@ -16,7 +16,7 @@ type t = {
   name : string;
   by_fp : Cert.t Smap.t;
   by_skid : Cert.t list Smap.t;
-  roots : Cert.t list; (* insertion order *)
+  roots : Cert.t list; (* newest first *)
 }
 
 let empty name = { name; by_fp = Smap.empty; by_skid = Smap.empty; roots = [] }
@@ -43,8 +43,12 @@ let mem t cert = Smap.mem (Cert.fingerprint cert) t.by_fp
 let mem_skid t skid = Smap.mem skid t.by_skid
 let find_by_skid t skid = Option.value (Smap.find_opt skid t.by_skid) ~default:[]
 
+(* Walking the newest-first list and consing the matches yields them in
+   insertion order, without copying the store on every lookup. *)
 let find_by_subject t dn =
-  List.filter (fun root -> Dn.equal (Cert.subject root) dn) (certs t)
+  List.fold_left
+    (fun acc root -> if Dn.equal (Cert.subject root) dn then root :: acc else acc)
+    [] t.roots
 
 let issuer_candidates t cert = find_by_subject t (Cert.issuer cert)
 

@@ -22,7 +22,29 @@ type t = {
   raw : string;         (* full certificate DER *)
   raw_tbs : string;     (* TBS DER, the signed message *)
   fp : string;          (* SHA-256 of raw *)
+  (* Facts path building asks of every candidate at every step, derived once
+     here; the interned certificate carries them for every later sighting. *)
+  self_signed : bool;
+  skid : string option;
+  akid : Extension.authority_key_id option;
 }
+
+let subject_key_id_of tbs =
+  match Extension.find Oid.ext_subject_key_id tbs.extensions with
+  | Some { value = Extension.Subject_key_id k; _ } -> Some k
+  | _ -> None
+
+let authority_key_id_of tbs =
+  match Extension.find Oid.ext_authority_key_id tbs.extensions with
+  | Some { value = Extension.Authority_key_id a; _ } -> Some a
+  | _ -> None
+
+let make ~tbs ~signature ~raw ~raw_tbs ~fp =
+  let self_signed =
+    Dn.equal tbs.subject tbs.issuer && Keys.verify tbs.public_key raw_tbs signature
+  in
+  { tbs; signature; raw; raw_tbs; fp; self_signed;
+    skid = subject_key_id_of tbs; akid = authority_key_id_of tbs }
 
 let alg_identifier (alg : Keys.algorithm) =
   let oid =
@@ -75,7 +97,7 @@ let create tbs signature =
         Der.bit_string signature.Keys.sig_bytes ]
   in
   let raw = Der.encode cert_der in
-  { tbs; signature; raw; raw_tbs; fp = Sha256.digest raw }
+  make ~tbs ~signature ~raw ~raw_tbs ~fp:(Sha256.digest raw)
 
 let tbs t = t.tbs
 let tbs_der t = t.raw_tbs
@@ -238,7 +260,7 @@ let of_der_impl ~fp raw =
       in
       let raw_tbs = Der.slice_string tbs_n.Der.n_raw in
       let fp = match fp with Some fp -> fp | None -> Sha256.digest raw in
-      Ok { tbs; signature = { Keys.sig_alg; sig_bytes }; raw; raw_tbs; fp }
+      Ok (make ~tbs ~signature:{ Keys.sig_alg; sig_bytes } ~raw ~raw_tbs ~fp)
   | _ -> Error "Certificate: expected 3 fields"
 
 let of_der raw = of_der_impl ~fp:None raw
@@ -255,16 +277,8 @@ let extensions t = t.tbs.extensions
 let sig_alg t = t.signature.Keys.sig_alg
 
 let find_ext oid t = Extension.find oid t.tbs.extensions
-
-let subject_key_id t =
-  match find_ext Oid.ext_subject_key_id t with
-  | Some { value = Extension.Subject_key_id k; _ } -> Some k
-  | _ -> None
-
-let authority_key_id t =
-  match find_ext Oid.ext_authority_key_id t with
-  | Some { value = Extension.Authority_key_id a; _ } -> Some a
-  | _ -> None
+let subject_key_id t = t.skid
+let authority_key_id t = t.akid
 
 let basic_constraints t =
   match find_ext Oid.ext_basic_constraints t with
@@ -293,8 +307,7 @@ let aia_ca_issuers t =
 
 let is_self_issued t = Dn.equal t.tbs.subject t.tbs.issuer
 
-let is_self_signed t =
-  is_self_issued t && Keys.verify t.tbs.public_key t.raw_tbs t.signature
+let is_self_signed t = t.self_signed
 
 let is_ca t = match basic_constraints t with Some { ca; _ } -> ca | None -> false
 let validity_days t = Vtime.diff_days t.tbs.not_after t.tbs.not_before

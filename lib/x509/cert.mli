@@ -26,7 +26,9 @@ type t
 val create : tbs -> Keys.signature -> t
 (** Assemble and cache the DER encoding. The signature is taken as given —
     minting syntactically valid but cryptographically broken certificates is
-    how the capability tests are built — so no verification happens here. *)
+    how the capability tests are built. The derived facts {!is_self_signed},
+    {!subject_key_id} and {!authority_key_id} are computed here (and by
+    {!of_der}) once, so their accessors are field reads. *)
 
 val tbs : t -> tbs
 val tbs_der : t -> string

@@ -28,36 +28,50 @@ let common_name = find_attr Oid.at_common_name
 let organization = find_attr Oid.at_organization
 
 (* caseIgnoreMatch with internal whitespace folding, per RFC 5280 sec. 7.1's
-   simplified string comparison. *)
-let fold_value s =
-  let buf = Buffer.create (String.length s) in
-  let pending_space = ref false in
-  let started = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' -> if !started then pending_space := true
-      | c ->
-          if !pending_space then begin
-            Buffer.add_char buf ' ';
-            pending_space := false
-          end;
-          started := true;
-          Buffer.add_char buf (Char.lowercase_ascii c))
-    s;
-  Buffer.contents buf
+   simplified string comparison: leading and trailing space/tab are dropped,
+   internal runs of space/tab compare as one space, and ASCII letters compare
+   case-insensitively.  Path building evaluates this on every candidate at
+   every step, so both values are walked in place and nothing is allocated. *)
+let is_blank c = c = ' ' || c = '\t'
 
-let equal_attr_loose a b = Oid.equal a.typ b.typ && String.equal (fold_value a.value) (fold_value b.value)
+let rec skip_blanks s i =
+  if i < String.length s && is_blank (String.unsafe_get s i) then skip_blanks s (i + 1)
+  else i
+
+(* [i] and [j] sit on a non-blank character or at the end of their string. *)
+let rec equal_folded a i b j =
+  let la = String.length a and lb = String.length b in
+  if i = la || j = lb then i = la && j = lb
+  else
+    Char.equal
+      (Char.lowercase_ascii (String.unsafe_get a i))
+      (Char.lowercase_ascii (String.unsafe_get b j))
+    &&
+    let i' = skip_blanks a (i + 1) and j' = skip_blanks b (j + 1) in
+    (* An internal blank run on one side must meet one on the other; a
+       trailing run is dropped, which the end-of-string test settles. *)
+    (i' = la || j' = lb || Bool.equal (i' > i + 1) (j' > j + 1))
+    && equal_folded a i' b j'
+
+let equal_value a b = equal_folded a (skip_blanks a 0) b (skip_blanks b 0)
+
+let equal_attr_loose a b = Oid.equal a.typ b.typ && equal_value a.value b.value
 let equal_attr_strict a b = Oid.equal a.typ b.typ && String.equal a.value b.value
 
-let equal_with attr_eq a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun ra rb -> List.length ra = List.length rb && List.for_all2 attr_eq ra rb)
-       a b
+let rec equal_rdn attr_eq a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> attr_eq x y && equal_rdn attr_eq a b
+  | _ -> false
 
-let equal_strict = equal_with equal_attr_strict
-let equal = equal_with equal_attr_loose
+let rec equal_with attr_eq a b =
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> equal_rdn attr_eq x y && equal_with attr_eq a b
+  | _ -> false
+
+let equal_strict a b = equal_with equal_attr_strict a b
+let equal a b = equal_with equal_attr_loose a b
 
 let compare a b =
   let attr_cmp x y =

@@ -17,19 +17,36 @@ let name_chains ~issuer ~child = Dn.equal (Cert.subject issuer) (Cert.issuer chi
 
 (* Signature checks dominate large-corpus runs (every check hashes the
    child's TBS); the verdict for a given (issuer, child) pair never changes,
-   so memoize on the pair of fingerprints. *)
-let sig_memo : (string, bool) Hashtbl.t = Hashtbl.create 4096
+   so memoize on the pair of fingerprints.  Every Domain that builds paths
+   (serve workers and shards, the measurement pool) shares the memo, so it is
+   sharded by the child's fingerprint with one mutex per shard, like the
+   intern table; verification runs outside the lock.  A shard is reset when
+   it holds its share of the 1M-entry bound. *)
+let memo_shards = 64
+let memo_shard_limit = 1_000_000 / memo_shards
+
+type memo_shard = { lock : Mutex.t; table : (string, bool) Hashtbl.t }
+
+let sig_memo =
+  Array.init memo_shards (fun _ -> { lock = Mutex.create (); table = Hashtbl.create 64 })
 
 let signature_ok ~issuer ~child =
-  let key = Cert.fingerprint issuer ^ Cert.fingerprint child in
-  match Hashtbl.find_opt sig_memo key with
+  let child_fp = Cert.fingerprint child in
+  let key = Cert.fingerprint issuer ^ child_fp in
+  let shard = sig_memo.(Char.code child_fp.[0] land (memo_shards - 1)) in
+  Mutex.lock shard.lock;
+  let hit = Hashtbl.find_opt shard.table key in
+  Mutex.unlock shard.lock;
+  match hit with
   | Some v -> v
   | None ->
       let v =
         Keys.verify (Cert.public_key issuer) (Cert.tbs_der child) (Cert.signature child)
       in
-      if Hashtbl.length sig_memo > 1_000_000 then Hashtbl.reset sig_memo;
-      Hashtbl.add sig_memo key v;
+      Mutex.lock shard.lock;
+      if Hashtbl.length shard.table >= memo_shard_limit then Hashtbl.reset shard.table;
+      Hashtbl.replace shard.table key v;
+      Mutex.unlock shard.lock;
       v
 
 let sig_alg_compatible ~issuer ~child =

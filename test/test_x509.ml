@@ -1,6 +1,10 @@
 open Chaoschain_x509
 module Prng = Chaoschain_crypto.Prng
 module Keys = Chaoschain_crypto.Keys
+module Oid = Chaoschain_der.Oid
+module Population = Chaoschain_measurement.Population
+module Root_store = Chaoschain_pki.Root_store
+module Universe = Chaoschain_pki.Universe
 
 (* --- Vtime --- *)
 
@@ -78,6 +82,119 @@ let dn_der_roundtrip () =
   match Dn.of_der (Dn.to_der dn) with
   | Ok dn' -> Alcotest.(check bool) "roundtrip" true (Dn.equal_strict dn dn')
   | Error e -> Alcotest.fail e
+
+(* --- Dn.equal against a fold-then-compare oracle --- *)
+
+(* The reference semantics of RFC 5280 loose name chaining: drop leading and
+   trailing blanks, fold internal blank runs to one space, lowercase ASCII,
+   then compare bytes. *)
+let fold_value s =
+  let buf = Buffer.create (String.length s) in
+  let pending_space = ref false and started = ref false in
+  String.iter
+    (function
+      | ' ' | '\t' -> if !started then pending_space := true
+      | c ->
+          if !pending_space then Buffer.add_char buf ' ';
+          pending_space := false;
+          started := true;
+          Buffer.add_char buf (Char.lowercase_ascii c))
+    s;
+  Buffer.contents buf
+
+let reference_dn_equal (a : Dn.t) (b : Dn.t) =
+  let attr_eq (x : Dn.attr) (y : Dn.attr) =
+    Oid.equal x.typ y.typ && String.equal (fold_value x.value) (fold_value y.value)
+  in
+  List.length a = List.length b
+  && List.for_all2
+       (fun ra rb -> List.length ra = List.length rb && List.for_all2 attr_eq ra rb)
+       a b
+
+let dn_value_gen =
+  QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'A'; 'b'; 'B'; ' '; '\t' ]) (int_range 0 6))
+
+let dn_gen : Dn.t QCheck.Gen.t =
+  QCheck.Gen.(
+    list_size (int_range 0 3)
+      (list_size (int_range 1 2)
+         (map2
+            (fun typ value -> { Dn.typ; value })
+            (oneofl [ Oid.at_common_name; Oid.at_organization ])
+            dn_value_gen)))
+
+(* The same folded value spelled differently: letters re-cased, every blank
+   widened to a run of 1-3 blanks, blanks maybe added at either end. *)
+let respell v st =
+  let buf = Buffer.create 16 in
+  let blanks () =
+    String.init (1 + Random.State.int st 3) (fun _ ->
+        if Random.State.bool st then ' ' else '\t')
+  in
+  if Random.State.bool st then Buffer.add_string buf (blanks ());
+  String.iter
+    (function
+      | ' ' | '\t' -> Buffer.add_string buf (blanks ())
+      | c ->
+          Buffer.add_char buf
+            (if Random.State.bool st then Char.uppercase_ascii c else Char.lowercase_ascii c))
+    v;
+  if Random.State.bool st then Buffer.add_string buf (blanks ());
+  Buffer.contents buf
+
+let other_oid typ =
+  if Oid.equal typ Oid.at_common_name then Oid.at_organization else Oid.at_common_name
+
+(* The second DN is a respelling of the first (equal); a respelling with
+   every blank removed (equal only where no blank was internal); a
+   respelling with one RDN dropped, one attribute added or one OID changed
+   (a different shape); or an independent draw. *)
+let dn_pair_gen =
+  let open QCheck.Gen in
+  dn_gen >>= fun a ->
+  let respelled st =
+    List.map (List.map (fun (x : Dn.attr) -> { x with value = respell x.value st })) a
+  in
+  let unblank =
+    let strip v = String.of_seq (Seq.filter (fun c -> c <> ' ' && c <> '\t') (String.to_seq v)) in
+    List.map (List.map (fun (x : Dn.attr) -> { x with value = strip x.value }))
+  in
+  let drop_rdn = function [] -> [] | _ :: rest -> rest in
+  let add_attr = function
+    | [] -> [ [ { Dn.typ = Oid.at_common_name; value = "a" } ] ]
+    | rdn :: rest -> (List.hd rdn :: rdn) :: rest
+  in
+  let change_oid = function
+    | (x :: attrs) :: rest -> ({ x with Dn.typ = other_oid x.Dn.typ } :: attrs) :: rest
+    | dn -> dn
+  in
+  map
+    (fun b -> (a, b))
+    (frequency
+       [ (4, respelled);
+         (1, map unblank respelled);
+         (1, map drop_rdn respelled);
+         (1, map add_attr respelled);
+         (1, map change_oid respelled);
+         (2, dn_gen) ])
+
+let print_dn (dn : Dn.t) =
+  "[" ^ String.concat "; "
+    (List.map
+       (fun rdn ->
+         String.concat "+"
+           (List.map
+              (fun (x : Dn.attr) -> Printf.sprintf "%s=%S" (Oid.to_string x.typ) x.value)
+              rdn))
+       dn)
+  ^ "]"
+
+let qcheck_dn_equal_reference =
+  QCheck.Test.make ~name:"Dn.equal agrees with fold-then-compare" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair print_dn print_dn) dn_pair_gen)
+    (fun (a, b) ->
+      let expected = reference_dn_equal a b in
+      Bool.equal (Dn.equal a b) expected && Bool.equal (Dn.equal b a) expected)
 
 (* --- Extensions --- *)
 
@@ -279,6 +396,129 @@ let cross_sign_properties () =
   Alcotest.(check bool) "cross verifies child too" true
     (Relation.signature_ok ~issuer:cross ~child:leaf.Issue.cert)
 
+(* --- Facts derived once per certificate --- *)
+
+let recomputed_facts c =
+  let tbs = Cert.tbs c in
+  let self_signed =
+    Dn.equal tbs.Cert.subject tbs.Cert.issuer
+    && Keys.verify tbs.Cert.public_key (Cert.tbs_der c) (Cert.signature c)
+  in
+  let ext oid = Extension.find oid tbs.Cert.extensions in
+  let skid =
+    match ext Oid.ext_subject_key_id with
+    | Some { Extension.value = Extension.Subject_key_id k; _ } -> Some k
+    | _ -> None
+  in
+  let akid =
+    match ext Oid.ext_authority_key_id with
+    | Some { Extension.value = Extension.Authority_key_id a; _ } -> Some a
+    | _ -> None
+  in
+  (self_signed, skid, akid)
+
+(* Which of [c]'s memoised facts, and of [c] decoded back from its DER,
+   differ from a recomputation from the TBS. *)
+let stale_facts c =
+  let stale what c =
+    let self_signed, skid, akid = recomputed_facts c in
+    List.filter_map
+      (fun (fact, ok) -> if ok then None else Some (what ^ fact))
+      [ ("self-signed", Bool.equal self_signed (Cert.is_self_signed c));
+        ("skid", Option.equal String.equal skid (Cert.subject_key_id c));
+        ("akid", akid = Cert.authority_key_id c) ]
+  in
+  match Cert.of_der (Cert.to_der c) with
+  | Ok c' -> stale "" c @ stale "decoded " c'
+  | Error e -> [ e ]
+
+let check_facts name c =
+  Alcotest.(check (list string)) (name ^ " facts") [] (stale_facts c)
+
+let cert_derived_facts () =
+  let p = Population.generate ~scale:0.002 () in
+  let seen = Hashtbl.create 1024 in
+  let stale =
+    List.concat_map
+      (fun c ->
+        let fp = Cert.fingerprint c in
+        if Hashtbl.mem seen fp then []
+        else begin
+          Hashtbl.add seen fp ();
+          List.map (fun fact -> Cert.summary c ^ " " ^ fact) (stale_facts c)
+        end)
+      (List.concat
+         [ List.concat_map (fun r -> r.Population.chain) (Array.to_list p.Population.domains);
+           p.Population.firefox_cache;
+           p.Population.os_store;
+           Root_store.certs (Universe.union_store p.Population.universe) ])
+  in
+  Alcotest.(check (list string)) "population facts" [] stale;
+  Alcotest.(check bool) "population certificates checked" true (Hashtbl.length seen > 1000);
+  let rng = Prng.of_label "derived-facts" in
+  let root =
+    Issue.self_signed rng (Issue.spec ~is_ca:true (Dn.make ~o:"Facts Inc" ~cn:"Facts Root" ()))
+  in
+  let tbs = Cert.tbs root.Issue.cert in
+  (* Self-issued, but the signature verifies under no key. *)
+  let garbage = Cert.create tbs (Keys.forge_garbage rng Keys.Rsa_2048) in
+  Alcotest.(check bool) "garbage self-issued" true (Cert.is_self_issued garbage);
+  Alcotest.(check bool) "garbage not self-signed" false (Cert.is_self_signed garbage);
+  check_facts "garbage" garbage;
+  (* The issuer differs from the subject only in case and blanks; signed by
+     the certificate's own key. *)
+  let respelled =
+    { tbs with Cert.issuer = Dn.make ~o:"  facts   INC " ~cn:"FACTS\t\troot" () }
+  in
+  let unsigned = Cert.create respelled (Keys.forge_garbage rng Keys.Rsa_2048) in
+  let loose = Cert.create respelled (Keys.sign root.Issue.key (Cert.tbs_der unsigned)) in
+  Alcotest.(check bool) "loose names differ byte-wise" false
+    (Dn.equal_strict (Cert.subject loose) (Cert.issuer loose));
+  Alcotest.(check bool) "loose self-issued" true (Cert.is_self_issued loose);
+  Alcotest.(check bool) "loose self-signed" true (Cert.is_self_signed loose);
+  check_facts "loose" loose
+
+(* Four Domains memoise overlapping fresh (issuer, child) pairs — 32k of
+   them, about 500 per memo shard, so every shard's table resizes at least
+   twice while the other Domains read and write it — and every answer must
+   be the direct verification's. *)
+let sig_memo_domain_hammer () =
+  let rng = Prng.of_label "memo-hammer" in
+  let n_issuers = 40 and n_children = 800 in
+  let issuers =
+    Array.init n_issuers (fun i ->
+        Issue.self_signed rng
+          (Issue.spec ~is_ca:true (Dn.make ~cn:(Printf.sprintf "Hammer CA %d" i) ())))
+  in
+  let children =
+    Array.init n_children (fun j ->
+        Issue.issue_cert rng ~parent:issuers.(j mod n_issuers)
+          (Issue.spec (Dn.make ~cn:(Printf.sprintf "h%d.example" j) ())))
+  in
+  let n_pairs = n_issuers * n_children in
+  let pair k = (issuers.(k mod n_issuers).Issue.cert, children.(k / n_issuers)) in
+  let expected =
+    Array.init n_pairs (fun k ->
+        let issuer, child = pair k in
+        Keys.verify (Cert.public_key issuer) (Cert.tbs_der child) (Cert.signature child))
+  in
+  (* Each Domain walks every pair, starting a quarter further on than the
+     previous one, so all four keep missing and hitting the same shards. *)
+  let worker d () =
+    let wrong = ref 0 in
+    for step = 0 to n_pairs - 1 do
+      let k = (step + (d * n_pairs / 4)) mod n_pairs in
+      let issuer, child = pair k in
+      if not (Bool.equal (Relation.signature_ok ~issuer ~child) expected.(k)) then incr wrong
+    done;
+    !wrong
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
+  let wrong = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  Alcotest.(check int) "answers differing from Keys.verify" 0 wrong;
+  Alcotest.(check int) "pairs that verify" n_children
+    (Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 expected)
+
 let qcheck_cert_fp_unique =
   QCheck.Test.make ~name:"distinct serial => distinct fingerprint" ~count:30
     QCheck.unit
@@ -297,6 +537,7 @@ let suite =
     Alcotest.test_case "dn basics" `Quick dn_basics;
     Alcotest.test_case "dn equality" `Quick dn_equality;
     Alcotest.test_case "dn der roundtrip" `Quick dn_der_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_dn_equal_reference;
     Alcotest.test_case "extension roundtrips" `Quick extension_roundtrips;
     Alcotest.test_case "extension lookup" `Quick extension_lookup;
     Alcotest.test_case "cert der roundtrip" `Quick cert_der_roundtrip;
@@ -308,4 +549,6 @@ let suite =
     Alcotest.test_case "relation flexible rule" `Quick relation_flexible_rule;
     Alcotest.test_case "issuance faults" `Quick issue_faults;
     Alcotest.test_case "cross-sign properties" `Quick cross_sign_properties;
+    Alcotest.test_case "derived facts match recomputation" `Quick cert_derived_facts;
+    Alcotest.test_case "signature memo Domain hammer" `Quick sig_memo_domain_hammer;
     QCheck_alcotest.to_alcotest qcheck_cert_fp_unique ]
