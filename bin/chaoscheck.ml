@@ -951,7 +951,7 @@ let serve_cmd =
              ~doc:"Verdict LRU-cache capacity (entries; 0 disables caching).")
   in
   let max_frame_arg =
-    Arg.(value & opt int Service.Transport.default_max_frame
+    Arg.(value & opt int Chaoschain_net.Framing.default_max_frame
          & info [ "max-frame" ]
              ~doc:"Longest accepted request line in bytes; longer lines are \
                    dropped with a structured 'overlong' error instead of \
@@ -1262,7 +1262,7 @@ let loadgen_cmd =
                    of requests dropped — the run continues.")
   in
   let max_frame_arg =
-    Arg.(value & opt int Service.Transport.default_max_frame
+    Arg.(value & opt int Chaoschain_net.Framing.default_max_frame
          & info [ "max-frame" ] ~doc:"Longest accepted reply line in bytes.")
   in
   let out_arg =

@@ -1,30 +1,10 @@
 type validity_priority = VP_none | VP_first_valid | VP_recent_longest
 
-let validity_priority_to_string = function
-  | VP_none -> "-"
-  | VP_first_valid -> "VP1"
-  | VP_recent_longest -> "VP2"
-
 type kid_priority = KP_none | KP1 | KP2
-
-let kid_priority_to_string = function
-  | KP_none -> "-"
-  | KP1 -> "KP1"
-  | KP2 -> "KP2"
 
 type length_limit = Unlimited | Max_constructed of int | Max_input_list of int
 
-let length_limit_to_string = function
-  | Unlimited -> ">52"
-  | Max_constructed n -> Printf.sprintf "=%d" n
-  | Max_input_list n -> Printf.sprintf "=%d (input list)" n
-
 type revocation_mode = No_revocation | During_construction | During_validation
-
-let revocation_mode_to_string = function
-  | No_revocation -> "none"
-  | During_construction -> "during construction"
-  | During_validation -> "during validation"
 
 type t = {
   reorder : bool;

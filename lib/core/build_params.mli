@@ -14,22 +14,16 @@ type validity_priority =
   | VP_recent_longest(** VP2: valid first, then most recent notBefore, then
                          longest validity period *)
 
-val validity_priority_to_string : validity_priority -> string
-
 type kid_priority =
   | KP_none  (** no KID-based ranking *)
   | KP1      (** match and absence tie, both above mismatch *)
   | KP2      (** match above absence above mismatch *)
-
-val kid_priority_to_string : kid_priority -> string
 
 type length_limit =
   | Unlimited
   | Max_constructed of int  (** certificates in the built path *)
   | Max_input_list of int   (** certificates in the server-provided list —
                                 the GnuTLS semantics behind finding I-2 *)
-
-val length_limit_to_string : length_limit -> string
 
 type revocation_mode =
   | No_revocation           (** never consult CRLs *)
@@ -38,8 +32,6 @@ type revocation_mode =
           selecting, dropping candidates that reveal a revocation — the
           MbedTLS integration style from section 3.2 *)
   | During_validation       (** classic RFC 5280 step-2 checking *)
-
-val revocation_mode_to_string : revocation_mode -> string
 
 type t = {
   reorder : bool;

@@ -29,29 +29,6 @@ let test_name = function
   | Path_length_constraint -> "Path Length Constraint"
   | Self_signed_leaf -> "Self-signed Leaf Certificate"
 
-let test_description = function
-  | Order_reorganization ->
-      "Provide a chain with disordered certificates to test the client's \
-       construction capabilities."
-  | Redundancy_elimination ->
-      "Provide a chain containing irrelevant certificates to test the client's \
-       ability to eliminate redundancies."
-  | Aia_completion ->
-      "Provide a chain missing intermediate certificates and test if the client \
-       can use AIA to construct the chain correctly."
-  | Validity_priority ->
-      "Priority decision among issuer certificates with differing validity periods."
-  | Kid_priority ->
-      "Priority decision among issuer certificates with varying KID statuses."
-  | Keyusage_priority ->
-      "Priority decision among issuer certificates with differing KeyUsage settings."
-  | Basic_constraints_priority ->
-      "Priority decision based on correct or incorrect path length constraints."
-  | Path_length_constraint -> "Maximum chain length the client can construct."
-  | Self_signed_leaf ->
-      "Whether the client allows a self-signed certificate as a leaf in chain \
-       construction."
-
 let test_case_notation = function
   | Order_reorganization -> "{E, I2, I1, R}"
   | Redundancy_elimination -> "{E, X, I, R}"
@@ -368,8 +345,6 @@ let evaluate client test =
   | Basic_constraints_priority -> evaluate_bc client
   | Path_length_constraint -> evaluate_length client
   | Self_signed_leaf -> evaluate_self_signed client
-
-let evaluate_all client = List.map (fun t -> (t, evaluate client t)) all_tests
 
 let table9_expected id test =
   let open Clients in

@@ -22,7 +22,6 @@ type test_id =
 
 val all_tests : test_id list
 val test_name : test_id -> string
-val test_description : test_id -> string
 val test_case_notation : test_id -> string
 (** The formal description column of Table 2, e.g. ["{E, I2, I1, R}"]. *)
 
@@ -52,8 +51,6 @@ val evaluate : Clients.t -> test_id -> string
     capabilities and the self-signed-leaf restriction, ["VP1"]/["VP2"]/["-"],
     ["KP1"]/["KP2"]/["-"], ["KUP"]/["-"], ["BP"]/["-"], and ["=N"]/[">52"]
     for the length limit. *)
-
-val evaluate_all : Clients.t -> (test_id * string) list
 
 val table9_expected : Clients.id -> test_id -> string
 (** The cell the paper reports, for regression-testing the profiles. *)

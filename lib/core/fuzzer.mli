@@ -24,9 +24,6 @@ val apply : pool:Cert.t list -> Cert.t list -> mutation -> Cert.t list
 (** Apply one mutation ([pool] supplies foreign certificates for
     {!Inject_unrelated}). Out-of-range positions leave the list unchanged. *)
 
-val random_mutation :
-  Chaoschain_crypto.Prng.t -> pool:Cert.t list -> Cert.t list -> mutation
-
 type verdicts = (Clients.id * bool) list
 (** Accept/reject per client. *)
 

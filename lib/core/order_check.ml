@@ -2,18 +2,7 @@ open Chaoschain_x509
 
 type duplicate_kind = Dup_leaf | Dup_intermediate | Dup_root
 
-let duplicate_kind_to_string = function
-  | Dup_leaf -> "duplicate leaf"
-  | Dup_intermediate -> "duplicate intermediate"
-  | Dup_root -> "duplicate root"
-
 type irrelevant_kind = Irr_extra_leaf | Irr_self_signed | Irr_foreign_chain | Irr_lone
-
-let irrelevant_kind_to_string = function
-  | Irr_extra_leaf -> "extra leaf"
-  | Irr_self_signed -> "unrelated self-signed"
-  | Irr_foreign_chain -> "foreign chain"
-  | Irr_lone -> "lone intermediate"
 
 type report = {
   duplicates : (duplicate_kind * Topology.node) list;

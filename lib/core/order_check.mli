@@ -8,16 +8,12 @@
 
 type duplicate_kind = Dup_leaf | Dup_intermediate | Dup_root
 
-val duplicate_kind_to_string : duplicate_kind -> string
-
 type irrelevant_kind =
   | Irr_extra_leaf       (** a second, distinct leaf-like certificate *)
   | Irr_self_signed      (** an unconnected self-signed (root) certificate *)
   | Irr_foreign_chain    (** irrelevant certs with issuance relations among
                              themselves — (part of) another chain *)
   | Irr_lone             (** a single unconnected intermediate *)
-
-val irrelevant_kind_to_string : irrelevant_kind -> string
 
 type report = {
   duplicates : (duplicate_kind * Topology.node) list;

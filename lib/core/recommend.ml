@@ -89,8 +89,6 @@ let corrected_chain report =
       | Some path, _ -> Some (List.map (fun n -> n.Topology.cert) path)
       | None, _ -> None)
 
-let recommended_params = Build_params.rfc4158
-
 type ablation_step = {
   label : string;
   params : Build_params.t;

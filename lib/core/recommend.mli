@@ -31,11 +31,6 @@ val corrected_chain : Compliance.report -> Cert.t list option
 
 (** {1 Client-side (section 6.2)} *)
 
-val recommended_params : Build_params.t
-(** The paper's recommended configuration: reordering, AIA completion,
-    backtracking, KID priority match > absent > mismatch, trusted-root
-    preference, recency preference among validity variants. *)
-
 type ablation_step = {
   label : string;
   params : Build_params.t;

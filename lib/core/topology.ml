@@ -68,15 +68,6 @@ let list_length t = List.length t.certs
 let duplicates t = List.filter (fun n -> List.length n.occurrences > 1) (nodes t)
 let leaf t = t.nodes.(0)
 
-let node_pos t node =
-  let rec find i =
-    if i >= Array.length t.nodes then invalid_arg "Topology: foreign node"
-    else if t.nodes.(i).index = node.index then i
-    else find (i + 1)
-  in
-  find 0
-
-let issuer_edges t node = List.map (fun i -> t.nodes.(i)) t.edges.(node_pos t node)
 let paths t = List.map (List.map (fun i -> t.nodes.(i))) (Lazy.force t.leaf_paths)
 
 let reachable_from_leaf t =
@@ -91,10 +82,6 @@ let irrelevant t =
   List.filter
     (fun n -> not (List.exists (fun r -> r.index = n.index) reachable))
     (nodes t)
-
-let render_label t node =
-  ignore t;
-  string_of_int node.index
 
 let render t =
   let buf = Buffer.create 256 in

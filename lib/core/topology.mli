@@ -34,10 +34,6 @@ val duplicates : t -> node list
 val leaf : t -> node
 (** The node at list position 0 — the server's claimed leaf. *)
 
-val issuer_edges : t -> node -> node list
-(** Nodes that (flexibly) issued the given node's certificate, excluding
-    self-loops. *)
-
 val paths : t -> node list list
 (** All maximal simple paths that start at {!leaf} and follow issuer edges.
     A path stops extending at a self-signed certificate or when every issuer
@@ -53,6 +49,3 @@ val irrelevant : t -> node list
 val render : t -> string
 (** ASCII rendering in the style of Figure 2: one line of labelled nodes plus
     one line per issuance edge. *)
-
-val render_label : t -> node -> string
-(** ["4\[1\]"]-style label used by {!render}. *)

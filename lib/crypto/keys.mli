@@ -21,9 +21,6 @@ type algorithm =
   | Ecdsa_p384
   | Rsa_1024  (** deprecated strength, used for DEPRECATED_CRYPTO scenarios *)
 
-val algorithm_to_string : algorithm -> string
-(** Rendering used in table output, e.g. ["RSA-2048"]. *)
-
 val algorithm_deprecated : algorithm -> bool
 (** [true] only for {!Rsa_1024}. *)
 
@@ -49,11 +46,6 @@ val generate : Prng.t -> algorithm -> private_key
 val import_public : algorithm -> string -> (public_key, string) result
 (** Reconstruct a public key from its algorithm and raw material, validating
     the material length; used when decoding certificates from DER. *)
-
-val material_size : algorithm -> int
-(** Size in bytes of the simulated key material for each algorithm; the sizes
-    are pairwise distinct within an OID family, which lets the DER decoder
-    recover the exact algorithm from (OID family, material length). *)
 
 val public_of_private : private_key -> public_key
 

@@ -40,8 +40,6 @@ type config = {
 
 type check = Private_key_match | Duplicate_leaf_check | Duplicate_intermediate_check
 
-val checks_performed : software -> check list
-
 type result =
   | Deployed of Cert.t list    (** the chain the server will send *)
   | Config_error of string     (** deployment refused *)
@@ -50,5 +48,3 @@ val deploy : software -> config -> result
 
 val table4_row : software -> (string * string) list
 (** The Table 4 characteristics as label/value pairs. *)
-
-val automatic_certificate_management : software -> bool

@@ -171,10 +171,6 @@ let as_string = function
   | Prim ({ cls = Universal; number = 12 | 19 | 22; _ }, c) -> Ok c
   | v -> wrong_shape "UTF8String/PrintableString/IA5String" v
 
-let as_time = function
-  | Prim ({ cls = Universal; number = 23 | 24; _ }, c) -> Ok c
-  | v -> wrong_shape "UTCTime/GeneralizedTime" v
-
 let as_sequence = function
   | Cons ({ cls = Universal; number = 16; _ }, l) -> Ok l
   | v -> wrong_shape "SEQUENCE" v
@@ -186,15 +182,6 @@ let as_set = function
 let as_context n = function
   | Cons ({ cls = Context_specific; number; _ }, l) when number = n -> Ok l
   | v -> wrong_shape (Printf.sprintf "[%d]" n) v
-
-let as_context_prim n = function
-  | Prim ({ cls = Context_specific; number; _ }, c) when number = n -> Ok c
-  | v -> wrong_shape (Printf.sprintf "[%d] primitive" n) v
-
-let is_context n v =
-  match tag_of v with
-  | { cls = Context_specific; number; _ } -> number = n
-  | _ -> false
 
 (* --- Encoding --- *)
 

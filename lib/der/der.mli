@@ -55,32 +55,17 @@ type 'a or_error = ('a, string) result
 
 val as_boolean : t -> bool or_error
 val as_integer_int : t -> int or_error
-val as_integer_bytes : t -> string or_error
 val as_bit_string : t -> (int * string) or_error
 val as_octet_string : t -> string or_error
 val as_oid : t -> Oid.t or_error
 val as_string : t -> string or_error
 (** Accepts UTF8String, PrintableString or IA5String. *)
 
-val as_time : t -> string or_error
-(** Accepts UTCTime or GeneralizedTime; returns the raw content. *)
-
 val as_sequence : t -> t list or_error
 val as_set : t -> t list or_error
 
 val as_context : int -> t -> t list or_error
 (** Children of a constructed context-specific tag [n]. *)
-
-val as_context_prim : int -> t -> string or_error
-
-val tag_of : t -> tag
-
-val tag_name : tag -> string
-(** Human-readable tag name ("SEQUENCE", "[3]", ...), as used in decode
-    error messages. *)
-
-val is_context : int -> t -> bool
-(** Whether the value carries context-specific tag [n] (either form). *)
 
 (** {1 Wire codec} *)
 

@@ -8,7 +8,7 @@
     the two disagree only where at least one of them is wrong:
 
     - {b table-driven} header classification: all 256 identifier octets are
-      decoded once into {!id_table} at load time; parsing a header is an
+      decoded once into a 256-entry table at load time; parsing a header is an
       array read, not bit arithmetic;
     - an {b iterative} value walk over an explicit heap-allocated frame
       stack, where the production decoder recurses on the OCaml stack;
@@ -50,11 +50,6 @@ val max_depth : int
 (** Same bound as [Chaoschain_der.Der.max_depth] (1024); both decoders must
     reject the same nesting bombs for the accept sets to stay equal. The
     constant is duplicated, not shared — independence beats DRY here. *)
-
-val id_table : hdr option array
-(** The 256-entry identifier-octet table; [None] marks the multi-octet
-    tag-number escape (low bits [0x1F]), which this subset rejects.
-    Exposed for the harness's own sanity tests. *)
 
 val decode : string -> (tree, error) result
 (** Decode exactly one value occupying the whole input. Never raises; the

@@ -83,9 +83,6 @@ type vendor_key =
 
 val vendor_key_to_string : vendor_key -> string
 
-val vendor_totals : (vendor_key * int) list
-(** Table 11's bottom row (with the remainder under [V_other]). *)
-
 val vendor_weights : scenario -> (vendor_key * int) list
 (** How a class's chains distribute over CAs, from the matching Table 11
     row, restricted to vendors structurally able to produce the class. *)

@@ -27,9 +27,6 @@ val analyze :
     result is byte-identical for every [jobs] value (and for either wire
     [format] the scan parses the dataset from; see {!Scanner.scan}). *)
 
-val difftest_record : analysis -> Population.record -> Difftest.case
-(** Differential-test one domain through the analysis-wide memo. *)
-
 type view = {
   v_dataset : Scanner.dataset;
   v_env : Difftest.env;
@@ -45,10 +42,6 @@ type view = {
     the same code, which is what makes replayed tables byte-identical. *)
 
 val view : analysis -> view
-
-val difftest_item : view -> domain:string -> Cert.t list -> Difftest.case
-(** {!difftest_record} for a view item: memoised by
-    [Difftest.chain_key], relabelled with [domain]. *)
 
 type result = Chaoschain_report.Report.t = {
   id : string;  (** e.g. ["table3"] *)

@@ -46,8 +46,3 @@ val env : t -> Difftest.env
 val compliance_report : t -> record -> Compliance.report
 (** Run the server-side compliance analysis for one domain (union store,
     AIA enabled — the paper's baseline). *)
-
-val blemish_fraction_incomplete : float
-(** Fraction of incomplete-class chains whose leaf has also expired. *)
-
-val blemish_fraction_order : float

@@ -119,7 +119,6 @@ let create ?(config = default_config) ?(backend = Poller.Select) ?listen
     accept_failures = 0; accept_backoff_until = 0.0 }
 
 let max_conns t = t.max_conns
-let poller_name t = Poller.name t.poller
 let finished t = t.stopped
 
 let wake t =

@@ -120,8 +120,6 @@ val max_conns : t -> int
 (** The resolved connection bound (config, or poller-derived when the
     config said [0]). *)
 
-val poller_name : t -> string
-
 type stats = {
   live_conns : int;
   accepted : int;      (** connections accepted or adopted over the

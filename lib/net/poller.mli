@@ -77,7 +77,3 @@ val registered : t -> int
 val close : t -> unit
 (** Release backend resources (the epoll fd). The poller must not be
     used afterwards; double close is harmless. *)
-
-val rlimit_nofile : unit -> int
-(** The [RLIMIT_NOFILE] soft limit (clamped to [2^20]; 1024 when the
-    limit cannot be read). Exposed for diagnostics and tests. *)

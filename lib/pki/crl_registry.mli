@@ -8,9 +8,6 @@ type t
 
 val create : unit -> t
 
-val register : t -> Crl.t -> unit
-(** Install (or replace) the CRL for its issuer. *)
-
 val lookup : t -> Dn.t -> Crl.t option
 
 val lookup_for : t -> issuer:Cert.t -> Crl.t option

@@ -30,10 +30,6 @@ val mem_skid : t -> string -> bool
 
 val find_by_skid : t -> string -> Cert.t list
 
-val find_by_subject : t -> Dn.t -> Cert.t list
-(** Roots whose subject DN name-chains to the given DN — how clients locate
-    trust anchors for a partial chain. *)
-
 val issuer_candidates : t -> Cert.t -> Cert.t list
 (** Roots that could have issued the given certificate, by name chaining. *)
 

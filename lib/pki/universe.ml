@@ -58,12 +58,9 @@ type t = {
   (* Named special constructs. *)
   mutable sectigo_usertrust_self_ : Cert.t option;
   mutable sectigo_usertrust_cross_ : Cert.t option;
-  mutable sectigo_legacy_root_ : Cert.t option;
   mutable sectigo_usertrust_cross_expired_ : Cert.t option;
   mutable digicert_ca1_recent_ : Cert.t option;
   mutable digicert_ca1_old_ : Cert.t option;
-  mutable digicert_signer_ : Issue.signer option;
-  mutable taiwan_root_ : Cert.t option;
   mutable taiwan_global_ : Issue.signer option;
   mutable epki_ : hierarchy option;
   mutable gov_hidden_root_ : Issue.signer option;
@@ -173,7 +170,6 @@ let setup_digicert t =
   Aia_repo.publish t.aia ~uri:ca1_uri ca1_recent;
   t.digicert_ca1_recent_ <- Some ca1_recent;
   t.digicert_ca1_old_ <- Some ca1_old_signer.Issue.cert;
-  t.digicert_signer_ <- Some signer;
   Hashtbl.replace t.hierarchies Digicert
     { issuing = signer; above = [ root.Issue.cert ]; issuing_aia_uri = ca1_uri };
   (* no-AKID variant. *)
@@ -227,7 +223,6 @@ let setup_sectigo t =
   Aia_repo.publish t.aia ~uri:dv_uri dv.Issue.cert;
   t.sectigo_usertrust_self_ <- Some usertrust.Issue.cert;
   t.sectigo_usertrust_cross_ <- Some cross;
-  t.sectigo_legacy_root_ <- Some aaa.Issue.cert;
   t.sectigo_usertrust_cross_expired_ <- Some cross_expired;
   Hashtbl.replace t.hierarchies Sectigo
     { issuing = dv; above = [ usertrust.Issue.cert ]; issuing_aia_uri = dv_uri };
@@ -282,7 +277,6 @@ let setup_taiwan t =
   Aia_repo.publish t.aia ~uri:root_uri root.Issue.cert;
   Aia_repo.publish t.aia ~uri:global_uri global.Issue.cert;
   Aia_repo.publish t.aia ~uri:secure_uri secure.Issue.cert;
-  t.taiwan_root_ <- Some root.Issue.cert;
   t.taiwan_global_ <- Some global;
   Hashtbl.replace t.hierarchies Taiwan_ca
     { issuing = secure;
@@ -440,12 +434,9 @@ let create ?(seed = 833L) () =
       legacy_roots = [];
       sectigo_usertrust_self_ = None;
       sectigo_usertrust_cross_ = None;
-      sectigo_legacy_root_ = None;
       sectigo_usertrust_cross_expired_ = None;
       digicert_ca1_recent_ = None;
       digicert_ca1_old_ = None;
-      digicert_signer_ = None;
-      taiwan_root_ = None;
       taiwan_global_ = None;
       epki_ = None;
       gov_hidden_root_ = None;
@@ -613,15 +604,12 @@ let mint_leaf t vendor ~domain ?hierarchy:h ?(faults = []) ?(no_aia = false)
 
 let sectigo_usertrust_self t = get "sectigo_usertrust_self" t.sectigo_usertrust_self_
 let sectigo_usertrust_cross t = get "sectigo_usertrust_cross" t.sectigo_usertrust_cross_
-let sectigo_legacy_root t = get "sectigo_legacy_root" t.sectigo_legacy_root_
 
 let sectigo_usertrust_cross_expired t =
   get "sectigo_usertrust_cross_expired" t.sectigo_usertrust_cross_expired_
 
 let digicert_ca1_recent t = get "digicert_ca1_recent" t.digicert_ca1_recent_
 let digicert_ca1_old t = get "digicert_ca1_old" t.digicert_ca1_old_
-let digicert_signer t = get "digicert_signer" t.digicert_signer_
-let taiwan_root t = get "taiwan_root" t.taiwan_root_
 let taiwan_global t = get "taiwan_global" t.taiwan_global_
 let epki_hierarchy t = get "epki" t.epki_
 let gov_hidden_root t = get "gov_hidden_root" t.gov_hidden_root_

@@ -101,9 +101,6 @@ val sectigo_usertrust_cross : t -> Cert.t
 (** The same subject and key cross-signed by the legacy "AAA Certificate
     Services" root (node 2 in Figure 2c). *)
 
-val sectigo_legacy_root : t -> Cert.t
-(** "AAA Certificate Services", the legacy root that cross-signs. *)
-
 val sectigo_usertrust_cross_expired : t -> Cert.t
 (** An expired cross-sign, for the 29 expired-cross-sign chains. *)
 
@@ -113,13 +110,6 @@ val digicert_ca1_recent : t -> Cert.t
 
 val digicert_ca1_old : t -> Cert.t
 (** Figure 5 candidate B: same subject and key, earlier validity. *)
-
-val digicert_signer : t -> Issue.signer
-(** Signer whose certificate is {!digicert_ca1_recent} (same key as the old
-    variant, so either candidate completes a valid path). *)
-
-val taiwan_root : t -> Cert.t
-(** "TWCA Root Certification Authority" — present in all stores. *)
 
 val taiwan_global : t -> Issue.signer
 (** "TWCA Global Root CA", the intermediate TAIWAN-CA deployments omit. *)

@@ -29,10 +29,6 @@ module Cell : sig
   val count_pct_string : int -> int -> string
 
   val render : value -> string
-
-  val measured_pct : value -> float option
-  (** The percentage a [Near_pct] check compares against; [None] when the
-      value carries none (or the denominator is zero). *)
 end
 
 (** {1 Cells and paper references} *)

@@ -20,10 +20,11 @@ type t = {
   env : env;
   cache : string Lru.t;          (* options+chain key -> verdict JSON bytes *)
   metrics : Metrics.t;
-  queue : (int * string) Queue.t;
-      (* admitted raw frames, tagged with the submitter's connection id
-         (0 for the serial transports); the tag rides through drain so a
-         multi-connection front end can route each reply home *)
+  queue : (int * (Protocol.request, Protocol.error) result) Queue.t;
+      (* admitted frames, parsed once at admission and tagged with the
+         submitter's connection id (0 for the serial transports); the tag
+         rides through drain so a multi-connection front end can route
+         each reply home *)
   queue_capacity : int;
   batch : int;
   pool : Pipeline.Pool.t;
@@ -276,9 +277,10 @@ let warm t pairs =
 
 (* --- batch processing --- *)
 
-(* A prepared frame. Preparation runs sequentially on the serve thread: it
-   parses, resolves the chain, consults the cache and coalesces duplicate
-   keys; only [Fresh] slots reach the parallel pool. *)
+(* A prepared frame. Preparation runs sequentially on the serve thread over
+   the parse made at admission: it resolves the chain, consults the cache
+   and coalesces duplicate keys; only [Fresh] slots reach the parallel
+   pool. *)
 type fresh = { f_id : string option; f_key : string; compute : unit -> string }
 
 type slot =
@@ -407,8 +409,8 @@ let stats_json t =
                    s.Metrics.buckets) ) ] ) ]
     @ shards_block @ store_block @ experiments_block)
 
-let prepare t seen frame =
-  match Protocol.of_frame frame with
+let prepare t seen parsed =
+  match parsed with
   | Error { Protocol.err_id; code; message } ->
       Metrics.incr_errors t.metrics;
       Ready (Protocol.error_response ~id:err_id ~code message)
@@ -487,23 +489,22 @@ let process_slots t slots =
 
 (* --- admission and draining --- *)
 
-let overload_response frame =
-  let id =
-    match Protocol.of_frame frame with
-    | Ok { Protocol.id; _ } -> id
-    | Error { Protocol.err_id; _ } -> err_id
-  in
-  Protocol.error_response ~id ~code:"overloaded"
-    "admission queue full; retry later"
-
 let submit t ~tag frame =
+  let parsed = Protocol.of_frame frame in
   if Queue.length t.queue >= t.queue_capacity then begin
     Metrics.incr_rejects t.metrics;
-    `Rejected (overload_response frame)
+    let id =
+      match parsed with
+      | Ok { Protocol.id; _ } -> id
+      | Error { Protocol.err_id; _ } -> err_id
+    in
+    `Rejected
+      (Protocol.error_response ~id ~code:"overloaded"
+         "admission queue full; retry later")
   end
   else begin
     Metrics.incr_requests t.metrics;
-    Queue.add (tag, frame) t.queue;
+    Queue.add (tag, parsed) t.queue;
     `Admitted
   end
 
@@ -514,11 +515,6 @@ let overlong_response t =
   Protocol.error_response ~id:None ~code:"overlong"
     "request line exceeds the transport's frame-length bound"
 
-let is_stats frame =
-  match Protocol.of_frame frame with
-  | Ok { Protocol.op = Protocol.Stats; _ } -> true
-  | _ -> false
-
 (* Take the next micro-batch: up to [batch] frames, but a stats frame is a
    barrier — it is taken alone, so its reply observes every check admitted
    before it (batch members are processed concurrently). *)
@@ -526,10 +522,10 @@ let take_batch t =
   let rec go acc n =
     if n >= t.batch || Queue.is_empty t.queue then List.rev acc
     else
-      let _, next = Queue.peek t.queue in
-      if is_stats next then
-        if acc = [] then [ Queue.pop t.queue ] else List.rev acc
-      else go (Queue.pop t.queue :: acc) (n + 1)
+      match Queue.peek t.queue with
+      | _, Ok { Protocol.op = Protocol.Stats; _ } ->
+          if acc = [] then [ Queue.pop t.queue ] else List.rev acc
+      | _ -> go (Queue.pop t.queue :: acc) (n + 1)
   in
   go [] 0
 
@@ -539,7 +535,7 @@ let drain_tagged t =
   | tagged ->
       let seen = Hashtbl.create 16 in
       let responses =
-        process_slots t (List.map (fun (_, f) -> prepare t seen f) tagged)
+        process_slots t (List.map (fun (_, p) -> prepare t seen p) tagged)
       in
       List.map2 (fun (tag, _) response -> (tag, response)) tagged responses
 
@@ -547,7 +543,7 @@ let drain t = List.map snd (drain_tagged t)
 
 let handle_frame t frame =
   let seen = Hashtbl.create 1 in
-  match process_slots t [ prepare t seen frame ] with
+  match process_slots t [ prepare t seen (Protocol.of_frame frame) ] with
   | [ response ] -> response
   | _ -> assert false
 

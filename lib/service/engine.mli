@@ -98,9 +98,11 @@ val copy_cache : t -> t -> unit
     [--warm-store] pass fills every shard without recomputing. *)
 
 val admit : t -> string -> [ `Admitted | `Rejected of string ]
-(** Offer one raw frame to the admission queue. [`Rejected response] is
-    returned (and counted) when the queue already holds [queue_capacity]
-    frames; the response is a ready-to-send ["overloaded"] error.
+(** Offer one raw frame to the admission queue. The frame is parsed here,
+    once: the queue holds the parse, which the batcher, the stats barrier
+    and the reply all read. [`Rejected response] is returned (and counted)
+    when the queue already holds [queue_capacity] frames; the response is a
+    ready-to-send ["overloaded"] error echoing the frame's id.
     Equivalent to [submit ~tag:0]. *)
 
 val submit : t -> tag:int -> string -> [ `Admitted | `Rejected of string ]

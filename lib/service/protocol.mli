@@ -68,10 +68,6 @@ val to_frame : request -> string
 (** Re-encode a request (the round-trip direction clients use; exercised by
     the protocol tests). *)
 
-val client_id_of_string : string -> Clients.id option
-(** Case-insensitive client name ("openssl", "gnutls", "mbedtls",
-    "cryptoapi", "chrome", "edge", "safari", "firefox"). *)
-
 val client_id_to_string : Clients.id -> string
 
 (** {1 Response builders} *)

@@ -1,3 +1,5 @@
+module Framing = Chaoschain_net.Framing
+
 module type S = sig
   type conn
 
@@ -5,41 +7,22 @@ module type S = sig
   val send : conn -> string -> unit
 end
 
-let default_max_frame = 1 lsl 20
-
 module Fd = struct
   type conn = {
     fd : Unix.file_descr;
     out : out_channel;
-    buf : Buffer.t;       (* bytes read but not yet returned *)
+    framing : Framing.t;  (* every line decision is made here *)
     chunk : Bytes.t;
-    max_frame : int;      (* longest line accepted as a frame *)
-    mutable discarding : bool;
-        (* an overlong line was reported; drop bytes through its newline *)
-    mutable eof : bool;   (* the descriptor reported end-of-file *)
-    mutable closed : bool; (* eof AND the buffer has been fully drained *)
     mutable broken : bool
         (* the write side died (EPIPE/ECONNRESET): drop further sends and
            report EOF so the serve loop winds down this conversation *)
   }
 
-  let make ?(max_frame = default_max_frame) fd out =
-    if max_frame < 1 then invalid_arg "Transport.Fd.make: max_frame >= 1";
-    { fd; out; buf = Buffer.create 4096; chunk = Bytes.create 4096;
-      max_frame; discarding = false; eof = false; closed = false;
-      broken = false }
+  let make ?(max_frame = Framing.default_max_frame) fd out =
+    { fd; out; framing = Framing.create ~max_frame ();
+      chunk = Bytes.create 4096; broken = false }
 
   let stdio ?max_frame () = make ?max_frame Unix.stdin stdout
-
-  (* First complete line in [buf], removing it (and its newline). *)
-  let take_line c =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-        Buffer.clear c.buf;
-        Buffer.add_substring c.buf s (i + 1) (String.length s - i - 1);
-        Some (String.sub s 0 i)
 
   let readable fd =
     match Unix.select [ fd ] [] [] 0.0 with
@@ -47,72 +30,36 @@ module Fd = struct
     | _ -> true
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
+  (* Read one chunk into the framer; [false] when an interrupted
+     non-blocking read made no progress. *)
   let rec fill c ~block =
     match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
-    | 0 -> c.eof <- true
-    | n -> Buffer.add_subbytes c.buf c.chunk 0 n
+    | 0 ->
+        Framing.eof c.framing;
+        true
+    | n ->
+        Framing.feed c.framing c.chunk 0 n;
+        true
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        if block then fill c ~block
+        block && fill c ~block
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         (* the peer vanished mid-read: treat as end-of-stream, not a crash *)
-        c.eof <- true
+        Framing.eof c.framing;
+        true
 
   let rec recv c ~block =
-    if c.discarding then begin
-      (* Drop the rest of an already-reported overlong line. The buffer is
-         cleared on every pass, so memory stays bounded by the read chunk no
-         matter how long the line runs. *)
-      let s = Buffer.contents c.buf in
-      match String.index_opt s '\n' with
-      | Some i ->
-          Buffer.clear c.buf;
-          Buffer.add_substring c.buf s (i + 1) (String.length s - i - 1);
-          c.discarding <- false;
-          recv c ~block
-      | None ->
-          Buffer.clear c.buf;
-          if c.eof then begin
-            c.closed <- true;
-            `Eof
-          end
-          else if block || readable c.fd then begin
-            fill c ~block;
-            if (not c.eof) && (not block) && Buffer.length c.buf = 0 then `Empty
-            else recv c ~block
-          end
-          else `Empty
-    end
+    if c.broken then `Eof
     else
-      match take_line c with
-      | Some line ->
-          if String.length line > c.max_frame then `Overlong else `Frame line
-      | None ->
-          if Buffer.length c.buf > c.max_frame then begin
-            (* No newline yet and already past the bound: report now and
-               switch to discard mode rather than buffering without limit. *)
-            Buffer.clear c.buf;
-            c.discarding <- true;
-            `Overlong
-          end
-          else if c.closed then `Eof
-          else if c.eof then begin
-            (* deliver a trailing unterminated line, then EOF forever *)
-            c.closed <- true;
-            let rest = Buffer.contents c.buf in
-            Buffer.clear c.buf;
-            if rest = "" then `Eof else `Frame rest
-          end
-          else if block || readable c.fd then begin
-            fill c ~block;
-            if (not c.eof) && (not block) && Buffer.length c.buf = 0 then `Empty
-            else recv c ~block
-          end
+      match Framing.next c.framing with
+      | (`Frame _ | `Overlong | `Eof) as r -> r
+      | `Await ->
+          if (block || readable c.fd) && fill c ~block then recv c ~block
           else `Empty
 
   (* One reply, written straight to the descriptor (the out_channel is kept
      only to name it). A peer that disconnected mid-conversation surfaces
      here as EPIPE/ECONNRESET (with SIGPIPE ignored): the connection is
-     marked closed — recv answers [`Eof] from then on and later sends are
+     marked broken — recv answers [`Eof] from then on and later sends are
      dropped — instead of the write killing the process. EINTR retries. *)
   let send c frame =
     if not c.broken then begin
@@ -127,10 +74,7 @@ module Fd = struct
           | exception
               Unix.Unix_error
                 ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-              c.broken <- true;
-              c.eof <- true;
-              c.closed <- true;
-              Buffer.clear c.buf
+              c.broken <- true
       in
       write 0
     end
@@ -143,7 +87,7 @@ module Mem = struct
     max_frame : int;
   }
 
-  let make ?(max_frame = default_max_frame) input =
+  let make ?(max_frame = Framing.default_max_frame) input =
     { input; sent = []; max_frame }
 
   let output c = List.rev c.sent

@@ -1,17 +1,13 @@
 (** Framed transport for chaind: one request or response per line
-    (newline-delimited JSON). The engine is written against the {!S}
-    signature so a socket backend can slot in later; today there are two
-    implementations — file descriptors (stdin/stdout for [chaoscheck serve])
-    and an in-memory queue for tests.
+    (newline-delimited JSON). The serial serve loop is written against the
+    {!S} signature; there are two implementations — file descriptors
+    (stdin/stdout for [chaoscheck serve]) and an in-memory queue for tests.
 
     Request lines are bounded: a line longer than the transport's
     [max_frame] yields [`Overlong] (once, at the point the bound is crossed)
     and is otherwise discarded without ever being buffered whole — the
     engine answers it with a structured ["overlong"] error instead of
     growing its buffer without limit. *)
-
-val default_max_frame : int
-(** 1 MiB. *)
 
 module type S = sig
   type conn
@@ -27,12 +23,14 @@ module type S = sig
   (** Write one frame (the implementation appends the newline) and flush. *)
 end
 
-(** File-descriptor transport with its own line buffer; readiness is probed
-    with a zero-timeout [select], so [recv ~block:false] never blocks even
-    though the descriptor is a pipe. A trailing unterminated line is
-    delivered as a final frame at EOF. An overlong line is reported as soon
-    as the buffer crosses [max_frame] and its remaining bytes are dropped
-    chunk-by-chunk through the closing newline, keeping memory bounded.
+(** File-descriptor transport: a thin reader over
+    {!Chaoschain_net.Framing}, the same state machine netd feeds, so every
+    line decision — the [max_frame] bound and the discard of an overlong
+    line's remaining bytes, the trailing unterminated line at EOF, sticky
+    EOF — is made in one place for both front ends. [recv] feeds one read
+    chunk at a time into the framer; readiness is probed with a zero-timeout
+    [select], so [recv ~block:false] never blocks even though the
+    descriptor is a pipe.
 
     Client disconnects are survivable, not fatal: [EPIPE]/[ECONNRESET] on
     either direction (and [EINTR] mid-write, which is retried) mark the
@@ -44,7 +42,8 @@ module Fd : sig
   include S
 
   val make : ?max_frame:int -> Unix.file_descr -> out_channel -> conn
-  (** [max_frame] defaults to {!default_max_frame}. *)
+  (** [max_frame] defaults to {!Chaoschain_net.Framing.default_max_frame}
+      (1 MiB). *)
 
   val stdio : ?max_frame:int -> unit -> conn
 end

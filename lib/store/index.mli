@@ -10,9 +10,6 @@
     segment with {!of_segment} — an index can be lost or corrupted
     without losing any data, and is never trusted over the frames. *)
 
-val frame_kind : int
-(** Record-kind tag of the index sidecar frame (4). *)
-
 type t = {
   count : int;  (** number of indexed records *)
   seg_len : int;  (** segment byte length the offsets describe *)

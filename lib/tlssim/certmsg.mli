@@ -50,7 +50,6 @@ val is_classic : t -> bool
     precondition for re-encoding a 1.3 message in the 1.2 format without
     losing information. *)
 
-val entry_equal : entry -> entry -> bool
 val equal : t -> t -> bool
 
 (** {1 Codec}

@@ -17,9 +17,6 @@ type version = Certmsg.format = Tls12 | Tls13
     framings; the constructors are interchangeable with
     {!Certmsg.format}. *)
 
-val version_to_string : version -> string
-(** ["TLS 1.2"] / ["TLS 1.3"]. *)
-
 type server = {
   server_name : string;            (** SNI hostname served *)
   chain : Cert.t list;             (** the certificate list it will send *)

@@ -46,7 +46,6 @@ val of_der_keyed : fp:string -> string -> (t, string) result
 val fingerprint : t -> string
 (** SHA-256 over the full DER encoding; the certificate's identity. *)
 
-val fingerprint_hex : t -> string
 val equal : t -> t -> bool
 (** Bit-for-bit equality of the DER encodings. *)
 

@@ -71,7 +71,6 @@ let issue rng ~issuer ~this_update ?next_update entries =
 
 let issuer_dn t = t.issuer
 let this_update t = t.this_update
-let next_update t = t.next_update
 let entries t = t.entries
 let is_stale t now = Vtime.(t.next_update < now)
 

@@ -37,7 +37,6 @@ val issue :
 
 val issuer_dn : t -> Dn.t
 val this_update : t -> Vtime.t
-val next_update : t -> Vtime.t
 val entries : t -> revoked_entry list
 
 val is_stale : t -> Vtime.t -> bool
@@ -45,8 +44,6 @@ val is_stale : t -> Vtime.t -> bool
 
 val signed_by : t -> Cert.t -> bool
 (** The candidate CA's key verifies this CRL's signature. *)
-
-val find_serial : t -> string -> revoked_entry option
 
 type status =
   | Good

@@ -22,9 +22,6 @@ val make :
 (** Build a DN from the common attribute types, in the conventional
     C, ST, L, O, OU, CN order. Omitted arguments contribute no RDN. *)
 
-val of_attrs : (Oid.t * string) list -> t
-(** One single-attribute RDN per pair, in the given order. *)
-
 val common_name : t -> string option
 (** Value of the first CN attribute, if any. *)
 

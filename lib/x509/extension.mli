@@ -17,8 +17,6 @@ type key_usage_flag =
   | Encipher_only
   | Decipher_only
 
-val key_usage_flag_to_string : key_usage_flag -> string
-
 type general_name =
   | Dns of string
   | Ip of string       (** dotted-quad text, stored as such *)
@@ -62,8 +60,6 @@ val authority_key_id_by_name : Dn.t -> string -> t
 (** AKID referencing issuer name + serial instead of a key id. *)
 
 val authority_info_access : ?ocsp:string list -> ca_issuers:string list -> unit -> t
-
-val oid_of_value : value -> Oid.t
 
 val find : Oid.t -> t list -> t option
 (** First extension with the given OID. *)

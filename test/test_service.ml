@@ -759,6 +759,156 @@ let engine_tagged_submit () =
   expect_error (Engine.overlong_response t) "overlong";
   Engine.shutdown t
 
+(* --- micro-batching matches serial handling --- *)
+
+(* Frame kinds over the fixture: 0-2 resolvable checks (default options,
+   AIA off, a client subset), 3 a check of an unknown scenario, 4 malformed
+   JSON, 5 an unknown op, 6 a check without a chain source, 7 a PEM check
+   without a domain, 8 stats. *)
+let random_frame i kind =
+  let id = Printf.sprintf "f%d" i in
+  let obj fields =
+    Json.to_string (Json.Obj (("id", Json.String id) :: fields))
+  in
+  let check fields = obj (("op", Json.String "check") :: fields) in
+  match kind with
+  | 0 -> check_frame ~id ~scenario:"fixture" ()
+  | 1 -> check [ ("scenario", Json.String "fixture"); ("aia", Json.Bool false) ]
+  | 2 ->
+      check
+        [ ("scenario", Json.String "fixture");
+          ("clients", Json.List [ Json.String "openssl"; Json.String "firefox" ]) ]
+  | 3 -> check_frame ~id ~scenario:"absent" ()
+  | 4 -> Printf.sprintf {|{"id":"%s","op":|} id
+  | 5 -> obj [ ("op", Json.String "launch") ]
+  | 6 -> check []
+  | 7 -> check [ ("pem", Json.String "x") ]
+  | _ -> obj [ ("op", Json.String "stats") ]
+
+let stats_counts reply =
+  match response_field reply "stats" with
+  | Some s ->
+      let get k =
+        match Json.member k s with Some (Json.Int i) -> i | _ -> -1
+      in
+      Some (get "requests", get "checks", get "errors")
+  | None -> None
+
+(* Submit a random frame sequence, drain it to empty in batches of 1-8, and
+   hold the replies against one-frame-at-a-time [handle_frame] on a fresh
+   engine. Every frame is admitted before the first drain, so each stats
+   reply sees all of them as requests; the barrier rule makes its check and
+   error counts cover exactly the frames ahead of it. *)
+let qcheck_batched_matches_serial =
+  QCheck.Test.make ~name:"batched drain matches serial handle_frame" ~count:40
+    QCheck.(pair (int_range 1 8) (list_of_size Gen.(1 -- 40) (int_bound 8)))
+    (fun (batch, kinds) ->
+      let env = make_env () in
+      let batched = Engine.create ~env ~batch ~queue_capacity:64 ~jobs:2 () in
+      let serial = Engine.create ~env () in
+      Fun.protect
+        ~finally:(fun () ->
+          Engine.shutdown batched;
+          Engine.shutdown serial)
+        (fun () ->
+          let frames = List.mapi random_frame kinds in
+          List.iter
+            (fun f ->
+              match Engine.submit batched ~tag:0 f with
+              | `Admitted -> ()
+              | `Rejected _ -> QCheck.Test.fail_report "frame rejected")
+            frames;
+          let rec drain_all acc =
+            match Engine.drain batched with
+            | [] -> List.concat (List.rev acc)
+            | replies -> drain_all (replies :: acc)
+          in
+          let replies = drain_all [] in
+          let n = List.length frames in
+          let checks = ref 0 and errors = ref 0 in
+          List.length replies = n
+          && List.for_all2
+               (fun (kind, frame) reply ->
+                 if kind = 8 then stats_counts reply = Some (n, !checks, !errors)
+                 else begin
+                   if kind <= 3 then incr checks;
+                   if kind >= 3 then incr errors;
+                   String.equal reply (Engine.handle_frame serial frame)
+                 end)
+               (List.combine kinds frames) replies))
+
+(* --- fd transport: frame-size boundaries through a pipe --- *)
+
+(* A transport over a pipe that a second domain fills with [data] in 4 KiB
+   writes and then closes (a pipe holds less than one 64 KiB line). *)
+let with_piped_fd ~max_frame data f =
+  let r, w = Unix.pipe () in
+  let devnull = open_out Filename.null in
+  let writer =
+    Domain.spawn (fun () ->
+        let len = String.length data in
+        let rec go off =
+          if off < len then
+            go (off + Unix.write_substring w data off (min 4096 (len - off)))
+        in
+        Fun.protect ~finally:(fun () -> Unix.close w) (fun () -> go 0))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* closing the read end first unblocks a writer left mid-line *)
+      Unix.close r;
+      (try Domain.join writer with Unix.Unix_error _ -> ());
+      close_out devnull)
+    (fun () -> f (S.Transport.Fd.make ~max_frame r devnull))
+
+let transport_fd_frame_bounds () =
+  let max_frame = 64 * 1024 in
+  let recv conn = S.Transport.Fd.recv conn ~block:true in
+  let expect_eof conn what =
+    match recv conn with `Eof -> () | _ -> Alcotest.fail what
+  in
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.signal Sys.sigpipe prev))
+    (fun () ->
+      with_piped_fd ~max_frame (String.make max_frame 'a' ^ "\n") (fun conn ->
+          (match recv conn with
+          | `Frame f -> Alcotest.(check int) "bound is inclusive" max_frame
+                          (String.length f)
+          | _ -> Alcotest.fail "line of exactly max_frame bytes not a frame");
+          expect_eof conn "eof after the frame");
+      with_piped_fd ~max_frame
+        (String.make (max_frame + 1) 'b' ^ "\nnext\n")
+        (fun conn ->
+          (match recv conn with
+          | `Overlong -> ()
+          | _ -> Alcotest.fail "max_frame + 1 bytes not overlong");
+          (match recv conn with
+          | `Frame "next" -> ()
+          | _ -> Alcotest.fail "line after the overlong one lost");
+          expect_eof conn "eof after the overlong line");
+      with_piped_fd ~max_frame (String.make (max_frame + 10) 'c') (fun conn ->
+          (match recv conn with
+          | `Overlong -> ()
+          | _ -> Alcotest.fail "overlong line cut by eof not reported");
+          expect_eof conn "eof after the cut-off line";
+          expect_eof conn "eof is sticky"));
+  let r, w = Unix.pipe () in
+  let devnull = open_out Filename.null in
+  let conn = S.Transport.Fd.make ~max_frame r devnull in
+  let wr s = ignore (Unix.write_substring w s 0 (String.length s)) in
+  wr "{\"op\":";
+  (match S.Transport.Fd.recv conn ~block:false with
+  | `Empty -> ()
+  | _ -> Alcotest.fail "partial line must give Empty");
+  wr "\"stats\"}\n";
+  (match S.Transport.Fd.recv conn ~block:false with
+  | `Frame "{\"op\":\"stats\"}" -> ()
+  | _ -> Alcotest.fail "completed line must give its frame");
+  Unix.close w;
+  Unix.close r;
+  close_out devnull
+
 let suite =
   [ Alcotest.test_case "json round-trip" `Quick json_round_trip;
     Alcotest.test_case "json decode escapes" `Quick json_decode_escapes;
@@ -788,4 +938,7 @@ let suite =
     Alcotest.test_case "fd transport survives disconnect" `Quick
       transport_fd_disconnect;
     Alcotest.test_case "metrics tail quantiles" `Quick metrics_quantiles;
-    Alcotest.test_case "tagged submit/drain" `Slow engine_tagged_submit ]
+    Alcotest.test_case "tagged submit/drain" `Slow engine_tagged_submit;
+    QCheck_alcotest.to_alcotest qcheck_batched_matches_serial;
+    Alcotest.test_case "fd transport frame-size bounds" `Quick
+      transport_fd_frame_bounds ]
