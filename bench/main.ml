@@ -169,36 +169,15 @@ let run_experiments ~scale ~only ~jobs =
   let analysis = Experiments.analyze ~jobs pop in
   let analyze_s = wall_s () -. t1 in
   Printf.printf "analysis complete at %.1fs\n\n%!" (wall_s () -. t0);
-  (* Mirrors [Experiments.run_all], with a wall clock around each entry so
-     --json can record a per-experiment perf trajectory. *)
-  let suite : (unit -> Experiments.result) list =
-    [ (fun () -> Experiments.dataset_overview analysis);
-      (fun () -> Experiments.table1 ());
-      (fun () -> Experiments.table2 ());
-      (fun () -> Experiments.table3 analysis);
-      (fun () -> Experiments.table4 ());
-      (fun () -> Experiments.table5 analysis);
-      (fun () -> Experiments.table6 analysis);
-      (fun () -> Experiments.table7 analysis);
-      (fun () -> Experiments.table8 analysis);
-      (fun () -> Experiments.table9 ());
-      (fun () -> Experiments.table10 analysis);
-      (fun () -> Experiments.table11 analysis);
-      (fun () -> Experiments.figure1 analysis);
-      (fun () -> Experiments.figure2 analysis);
-      (fun () -> Experiments.figure3 analysis);
-      (fun () -> Experiments.figure4 analysis);
-      (fun () -> Experiments.figure5 analysis);
-      (fun () -> Experiments.section5_2 analysis);
-      (fun () -> Experiments.section6 analysis) ]
-  in
+  (* [Experiments.suite] with a wall clock around each entry, so --json can
+     record a per-experiment perf trajectory. *)
   let timed =
     List.map
       (fun f ->
         let t = wall_s () in
-        let r = f () in
+        let r = f analysis in
         (r, wall_s () -. t))
-      suite
+      Experiments.suite
   in
   let selected =
     match only with

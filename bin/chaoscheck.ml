@@ -119,17 +119,6 @@ let domain_arg =
   let doc = "Domain name the chain was served for." in
   Arg.(value & opt string "example.com" & info [ "domain"; "d" ] ~doc)
 
-let no_intern_arg =
-  let doc =
-    "Disable the process-wide certificate intern cache (every decode parses \
-     from scratch). Results are identical either way; the flag exists for \
-     A/B debugging and timing."
-  in
-  Arg.(value & flag & info [ "no-intern" ] ~doc)
-
-let apply_intern no_intern =
-  if no_intern then Chaoschain_pki.Intern.set_enabled false
-
 let read_chain path =
   let text =
     if path = "-" then In_channel.input_all stdin
@@ -174,8 +163,7 @@ let analyze_format_arg =
            ~doc:"Output renderer: $(b,text), $(b,json) or $(b,md).")
 
 let analyze_cmd =
-  let run path domain scale fmt no_intern =
-    apply_intern no_intern;
+  let run path domain scale fmt =
     match read_chain path with
     | Error e -> `Error (false, e)
     | Ok [] -> `Error (false, "no certificates in input")
@@ -201,13 +189,12 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Server-side structural compliance report")
     Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg
-               $ analyze_format_arg $ no_intern_arg))
+               $ analyze_format_arg))
 
 (* --- difftest --- *)
 
 let difftest_cmd =
-  let run path domain scale no_intern =
-    apply_intern no_intern;
+  let run path domain scale =
     match read_chain path with
     | Error e -> `Error (false, e)
     | Ok certs ->
@@ -229,7 +216,7 @@ let difftest_cmd =
   in
   Cmd.v
     (Cmd.info "difftest" ~doc:"Validate a chain in all eight client models")
-    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg $ no_intern_arg))
+    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg))
 
 (* --- matrix --- *)
 
@@ -245,8 +232,7 @@ let matrix_cmd =
 (* --- recommend --- *)
 
 let recommend_cmd =
-  let run path domain scale no_intern =
-    apply_intern no_intern;
+  let run path domain scale =
     match read_chain path with
     | Error e -> `Error (false, e)
     | Ok certs ->
@@ -277,7 +263,7 @@ let recommend_cmd =
   Cmd.v
     (Cmd.info "recommend"
        ~doc:"Section 6 remediation advice (and a corrected chain if derivable)")
-    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg $ no_intern_arg))
+    Term.(ret (const run $ chain_arg $ domain_arg $ scale_arg))
 
 (* --- fuzz --- *)
 
@@ -288,8 +274,7 @@ let fuzz_cmd =
   let seed_arg =
     Arg.(value & opt int 4242 & info [ "seed" ] ~doc:"PRNG seed.")
   in
-  let run iterations seed scale no_intern =
-    apply_intern no_intern;
+  let run iterations seed scale =
     with_lab scale (fun pop ->
     let env = Population.env pop in
     let seeds =
@@ -322,28 +307,26 @@ let fuzz_cmd =
        ~doc:"Frankencert-style structural fuzzing of the eight client models \
              (chain-level mutations over parsed certificates; for byte-level \
              DER mutations through the two decoders, see $(b,derfuzz))")
-    Term.(ret (const run $ iterations_arg $ seed_arg $ scale_arg $ no_intern_arg))
+    Term.(ret (const run $ iterations_arg $ seed_arg $ scale_arg))
 
 (* --- scan / replay / audit (chainstore) --- *)
 
+(* Every --jobs option parses through this converter, so a pool size
+   below one is a usage error before any subcommand runs. *)
+let jobs_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 -> Error (`Msg "must be >= 1")
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_pipeline_arg =
-  Arg.(value & opt int (Pipeline.default_jobs ())
+  Arg.(value & opt jobs_conv (Pipeline.default_jobs ())
        & info [ "jobs"; "j" ]
            ~doc:"Domain-pool size for the measurement pipeline (1 = purely \
                  sequential; default: all cores). Output is identical for \
                  every value.")
-
-(* Store-level operations (audit, compact) inject the Domain pool as a
-   [Par.t] runner; jobs <= 1 short-circuits to the sequential runner
-   without spawning a pool. Results are identical for every value. *)
-let with_store_par jobs f =
-  if jobs <= 1 then f Chaoschain_store.Par.seq
-  else begin
-    let pool = Pipeline.Pool.create ~jobs in
-    Fun.protect
-      ~finally:(fun () -> Pipeline.Pool.shutdown pool)
-      (fun () -> f (Pipeline.Pool.run pool))
-  end
 
 let no_index_arg =
   Arg.(value & flag
@@ -446,10 +429,8 @@ let derfuzz_cmd =
              ~doc:"Write exemplar mutants as '<outcome> <hex>' lines to \
                    $(docv) (the test/golden/der_fuzz.seeds format).")
   in
-  let run iters seed max_mutations scale jobs fmt out seeds_out no_intern =
-    apply_intern no_intern;
-    if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else if iters < 0 then `Error (true, "--iters must be >= 0")
+  let run iters seed max_mutations scale jobs fmt out seeds_out =
+    if iters < 0 then `Error (true, "--iters must be >= 0")
     else if max_mutations < 1 then `Error (true, "--max-mutations must be >= 1")
     else
       with_lab scale (fun pop ->
@@ -469,7 +450,7 @@ let derfuzz_cmd =
                 r.Population.chain)
             pop.Population.domains;
           let corpus = Array.of_list (List.rev !rev_corpus) in
-          with_store_par jobs (fun par ->
+          Pipeline.with_par ~jobs (fun par ->
               match Derfuzz.check_corpus ~par corpus with
               | (i, d) :: _ as bad ->
                   Printf.eprintf
@@ -524,7 +505,7 @@ let derfuzz_cmd =
              fuzzing of the client models, see $(b,fuzz).")
     Term.(ret (const run $ iters_arg $ seed_arg $ max_mutations_arg
                $ scale_arg $ jobs_pipeline_arg $ format_arg $ out_arg
-               $ seeds_out_arg $ no_intern_arg))
+               $ seeds_out_arg))
 
 let scan_cmd =
   let store_arg =
@@ -536,28 +517,25 @@ let scan_cmd =
                    full trust environment, and a Merkle root over the \
                    observation log.")
   in
-  let run scale jobs store fmt tls_format check_paper inject no_intern =
-    apply_intern no_intern;
-    if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else
-      with_lab scale (fun pop ->
-          let analysis = Experiments.analyze ~jobs ~format:tls_format pop in
-          let results =
-            Experiments.scan_results (Experiments.view analysis)
-          in
-          let results =
-            if inject then Report.inject_deviation results else results
-          in
-          print_results fmt results;
-          (match store with
-          | None -> ()
-          | Some dir ->
-              let s = Corpus.save ~dir analysis in
-              Printf.eprintf
-                "store: %d observation records, %d certificates, merkle root \
-                 %s -> %s\n"
-                s.Corpus.s_records s.Corpus.s_certs s.Corpus.s_root_hex dir);
-          if check_paper then run_paper_check results else `Ok ())
+  let run scale jobs store fmt tls_format check_paper inject =
+    with_lab scale (fun pop ->
+        let analysis = Experiments.analyze ~jobs ~format:tls_format pop in
+        let results =
+          Experiments.scan_results (Experiments.view analysis)
+        in
+        let results =
+          if inject then Report.inject_deviation results else results
+        in
+        print_results fmt results;
+        (match store with
+        | None -> ()
+        | Some dir ->
+            let s = Corpus.save ~dir analysis in
+            Printf.eprintf
+              "store: %d observation records, %d certificates, merkle root \
+               %s -> %s\n"
+              s.Corpus.s_records s.Corpus.s_certs s.Corpus.s_root_hex dir);
+        if check_paper then run_paper_check results else `Ok ())
   in
   Cmd.v
     (Cmd.info "scan"
@@ -569,7 +547,7 @@ let scan_cmd =
              identical for either)")
     Term.(ret (const run $ scale_arg $ jobs_pipeline_arg $ store_arg
                $ format_arg $ tls_format_arg $ check_paper_arg
-               $ inject_deviation_arg $ no_intern_arg))
+               $ inject_deviation_arg))
 
 let replay_cmd =
   let store_arg =
@@ -577,22 +555,19 @@ let replay_cmd =
          & info [ "store" ] ~docv:"DIR"
              ~doc:"Chainstore directory written by 'scan --store'.")
   in
-  let run store jobs fmt check_paper no_index no_intern =
-    apply_intern no_intern;
-    if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else
-      match Corpus.load ~jobs ~use_index:(not no_index) store with
-      | Error e -> `Error (false, e)
-      | Ok loaded ->
-          let view = Corpus.analyze ~jobs loaded in
-          let results = Experiments.scan_results view in
-          print_results fmt results;
-          Printf.eprintf
-            "replayed %d observation records (%d certificates, scale %g, \
-             merkle root %s)\n"
-            loaded.Corpus.l_records loaded.Corpus.l_certs
-            loaded.Corpus.l_scale loaded.Corpus.l_root_hex;
-          if check_paper then run_paper_check results else `Ok ()
+  let run store jobs fmt check_paper no_index =
+    match Corpus.load ~jobs ~use_index:(not no_index) store with
+    | Error e -> `Error (false, e)
+    | Ok loaded ->
+        let view = Corpus.analyze ~jobs loaded in
+        let results = Experiments.scan_results view in
+        print_results fmt results;
+        Printf.eprintf
+          "replayed %d observation records (%d certificates, scale %g, \
+           merkle root %s)\n"
+          loaded.Corpus.l_records loaded.Corpus.l_certs
+          loaded.Corpus.l_scale loaded.Corpus.l_root_hex;
+        if check_paper then run_paper_check results else `Ok ()
   in
   Cmd.v
     (Cmd.info "replay"
@@ -600,7 +575,7 @@ let replay_cmd =
              persisted corpus, without regenerating the population; stdout \
              is byte-identical to the scan that wrote the store")
     Term.(ret (const run $ store_arg $ jobs_pipeline_arg $ format_arg
-               $ check_paper_arg $ no_index_arg $ no_intern_arg))
+               $ check_paper_arg $ no_index_arg))
 
 (* --- classify: parsifal-style corpus query --- *)
 
@@ -610,8 +585,7 @@ let classify_cmd =
          & info [ "store" ] ~docv:"DIR"
              ~doc:"Chainstore directory written by 'scan --store'.")
   in
-  let run store fmt no_intern =
-    apply_intern no_intern;
+  let run store fmt =
     match Corpus.load store with
     | Error e -> `Error (false, e)
     | Ok loaded ->
@@ -626,7 +600,7 @@ let classify_cmd =
              self-contained, transvalid, unbuildable, unused certificates) \
              and report TLS 1.2/1.3 Certificate-message decode agreement \
              and framing overhead")
-    Term.(ret (const run $ store_arg $ format_arg $ no_intern_arg))
+    Term.(ret (const run $ store_arg $ format_arg))
 
 (* --- certmsg: encode a chain as a raw TLS Certificate message --- *)
 
@@ -638,8 +612,7 @@ let certmsg_cmd =
                    (at most 255 bytes; server certificates use the empty \
                    default). Rejected with --tls-format 1.2.")
   in
-  let run path tls_format context no_intern =
-    apply_intern no_intern;
+  let run path tls_format context =
     if context <> "" && tls_format = Certmsg.Tls12 then
       `Error (true, "--context requires --tls-format 1.3")
     else if String.length context > 255 then
@@ -658,8 +631,7 @@ let certmsg_cmd =
        ~doc:"Encode a PEM chain as a raw TLS Certificate message \
              (base64 on stdout) in either wire framing — the payload format \
              of chaind's \"certmsg\" checks")
-    Term.(ret (const run $ chain_arg $ tls_format_arg $ context_arg
-               $ no_intern_arg))
+    Term.(ret (const run $ chain_arg $ tls_format_arg $ context_arg))
 
 (* --- diff: per-cell comparison of two persisted corpora --- *)
 
@@ -672,39 +644,36 @@ let diff_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"STORE-B" ~doc:"Second chainstore directory.")
   in
-  let run a b jobs no_intern =
-    apply_intern no_intern;
-    if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else
-      match (Corpus.load a, Corpus.load b) with
-      | Error e, _ -> `Error (false, a ^ ": " ^ e)
-      | _, Error e -> `Error (false, b ^ ": " ^ e)
-      | Ok la, Ok lb ->
-          let results l =
-            Experiments.table_results (Corpus.analyze ~jobs l)
-          in
-          let ra = results la and rb = results lb in
-          (match Report.diff ra rb with
-          | [] ->
-              let cells = List.concat_map Report.flatten ra in
-              Printf.printf "corpora agree (%d cells compared)\n"
-                (List.length cells);
-              `Ok ()
-          | deltas ->
-              List.iter
-                (fun d ->
-                  match (d.Report.d_a, d.Report.d_b) with
-                  | Some va, Some vb ->
-                      Printf.printf "%s: %s -> %s\n" d.Report.d_path va vb
-                  | Some va, None ->
-                      Printf.printf "%s: %s -> (absent)\n" d.Report.d_path va
-                  | None, Some vb ->
-                      Printf.printf "%s: (absent) -> %s\n" d.Report.d_path vb
-                  | None, None -> ())
-                deltas;
-              `Error
-                ( false,
-                  Printf.sprintf "%d cell(s) differ" (List.length deltas) ))
+  let run a b jobs =
+    match (Corpus.load a, Corpus.load b) with
+    | Error e, _ -> `Error (false, a ^ ": " ^ e)
+    | _, Error e -> `Error (false, b ^ ": " ^ e)
+    | Ok la, Ok lb ->
+        let results l =
+          Experiments.table_results (Corpus.analyze ~jobs l)
+        in
+        let ra = results la and rb = results lb in
+        (match Report.diff ra rb with
+        | [] ->
+            let cells = List.concat_map Report.flatten ra in
+            Printf.printf "corpora agree (%d cells compared)\n"
+              (List.length cells);
+            `Ok ()
+        | deltas ->
+            List.iter
+              (fun d ->
+                match (d.Report.d_a, d.Report.d_b) with
+                | Some va, Some vb ->
+                    Printf.printf "%s: %s -> %s\n" d.Report.d_path va vb
+                | Some va, None ->
+                    Printf.printf "%s: %s -> (absent)\n" d.Report.d_path va
+                | None, Some vb ->
+                    Printf.printf "%s: (absent) -> %s\n" d.Report.d_path vb
+                | None, None -> ())
+              deltas;
+            `Error
+              ( false,
+                Printf.sprintf "%d cell(s) differ" (List.length deltas) ))
   in
   Cmd.v
     (Cmd.info "diff"
@@ -712,8 +681,7 @@ let diff_cmd =
              from two persisted corpora and report per-cell deltas by stable \
              cell path; identical corpora print nothing but a summary and \
              exit 0, any difference exits non-zero")
-    Term.(ret (const run $ store_a_arg $ store_b_arg $ jobs_pipeline_arg
-               $ no_intern_arg))
+    Term.(ret (const run $ store_a_arg $ store_b_arg $ jobs_pipeline_arg))
 
 let audit_cmd =
   let store_arg =
@@ -735,10 +703,9 @@ let audit_cmd =
   in
   let run store dry_run samples jobs =
     if samples < 1 then `Error (true, "--samples must be >= 1")
-    else if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else begin
       let r =
-        with_store_par jobs (fun par ->
+        Pipeline.with_par ~jobs (fun par ->
             Corpus.Store.audit ~par ~repair:(not dry_run) ~samples store)
       in
       List.iter print_endline r.Corpus.Store.a_messages;
@@ -850,14 +817,13 @@ let mkstore_cmd =
     Arg.(value & opt int 4242 & info [ "seed" ] ~doc:"PRNG seed.")
   in
   let jobs_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt jobs_conv 1
          & info [ "jobs"; "j" ]
              ~doc:"Domain-pool size for the Merkle build at close.")
   in
   let run store records certs seed jobs =
     if records < 0 then `Error (true, "--records must be >= 0")
     else if certs < 1 then `Error (true, "--certs must be >= 1")
-    else if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else begin
       (* Synthetic but deterministic: payloads are PRNG bytes, so the
          store exercises the full frame/index/Merkle machinery at any
@@ -877,7 +843,7 @@ let mkstore_cmd =
       done;
       Corpus.Store.add_env w (blob 128);
       let root_hex =
-        with_store_par jobs (fun par ->
+        Pipeline.with_par ~jobs (fun par ->
             Corpus.Store.close ~par w ~scale:1.0)
       in
       Printf.printf "mkstore: %d records, %d certs, merkle root %s -> %s\n"
@@ -895,29 +861,27 @@ let mkstore_cmd =
 
 let compact_cmd =
   let run store jobs =
-    if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else
-      with_store_par jobs (fun par ->
-          match Corpus.Store.open_ ~par store with
-          | Error e -> `Error (false, e)
-          | Ok st -> (
-              match Corpus.referenced_fps st with
-              | exception Chaoschain_store.Frame.Wire.Short ->
-                  `Error
-                    ( false,
-                      "store records are not corpus-encoded (synthetic \
-                       mkstore output?); nothing to compact against" )
-              | live_tbl -> (
-              match
-                Corpus.Store.compact ~par ~live:(Hashtbl.mem live_tbl) store
-              with
-              | Error e -> `Error (false, e)
-              | Ok r ->
-                  Printf.printf
-                    "compact: kept %d, dropped %d, certs.seg %d -> %d bytes\n"
-                    r.Corpus.Store.c_kept r.Corpus.Store.c_dropped
-                    r.Corpus.Store.c_bytes_before r.Corpus.Store.c_bytes_after;
-                  `Ok ())))
+    Pipeline.with_par ~jobs (fun par ->
+        match Corpus.Store.open_ ~par store with
+        | Error e -> `Error (false, e)
+        | Ok st -> (
+            match Corpus.referenced_fps st with
+            | exception Chaoschain_store.Frame.Wire.Short ->
+                `Error
+                  ( false,
+                    "store records are not corpus-encoded (synthetic \
+                     mkstore output?); nothing to compact against" )
+            | live_tbl -> (
+            match
+              Corpus.Store.compact ~par ~live:(Hashtbl.mem live_tbl) store
+            with
+            | Error e -> `Error (false, e)
+            | Ok r ->
+                Printf.printf
+                  "compact: kept %d, dropped %d, certs.seg %d -> %d bytes\n"
+                  r.Corpus.Store.c_kept r.Corpus.Store.c_dropped
+                  r.Corpus.Store.c_bytes_before r.Corpus.Store.c_bytes_after;
+                `Ok ())))
   in
   Cmd.v
     (Cmd.info "compact"
@@ -978,7 +942,7 @@ let serve_cmd =
                    of up to this many and processed in parallel.")
   in
   let jobs_arg =
-    Arg.(value & opt int (Pipeline.default_jobs ())
+    Arg.(value & opt jobs_conv (Pipeline.default_jobs ())
          & info [ "jobs"; "j" ]
              ~doc:"Worker-Domain pool size for micro-batch processing \
                    (verdicts are identical for every value).")
@@ -1024,12 +988,10 @@ let serve_cmd =
                    reading pauses past it (netd only).")
   in
   let run scale cache queue batch jobs max_frame warm_store tls_format
-      no_intern listen max_conns write_buf inbox poller shards =
-    apply_intern no_intern;
+      listen max_conns write_buf inbox poller shards =
     if cache < 0 then `Error (true, "--cache must be >= 0")
     else if queue < 1 then `Error (true, "--queue must be >= 1")
     else if batch < 1 then `Error (true, "--batch must be >= 1")
-    else if jobs < 1 then `Error (true, "--jobs must be >= 1")
     else if max_frame < 1 then `Error (true, "--max-frame must be >= 1")
     else if max_conns < 0 then
       `Error (true, "--max-conns must be >= 1 (or 0 = poller-derived)")
@@ -1201,7 +1163,7 @@ let serve_cmd =
              either wire framing")
     Term.(ret (const run $ scale_arg $ cache_arg $ queue_arg $ batch_arg
                $ jobs_arg $ max_frame_arg $ warm_store_arg
-               $ tls_format_opt_arg $ no_intern_arg $ listen_arg
+               $ tls_format_opt_arg $ listen_arg
                $ max_conns_arg $ write_buf_arg $ inbox_arg $ poller_arg
                $ shards_arg))
 
@@ -1480,17 +1442,7 @@ let reproduce_cmd =
     Arg.(value & opt (some string) None
          & info [ "only" ] ~doc:"Single experiment id (e.g. table5, figure4).")
   in
-  let jobs_arg =
-    Arg.(value & opt int (Pipeline.default_jobs ())
-         & info [ "jobs"; "j" ]
-             ~doc:"Domain-pool size for the measurement pipeline (1 = purely \
-                   sequential; default: all cores). Output is identical for \
-                   every value.")
-  in
-  let run scale only jobs fmt check_paper inject no_intern =
-    apply_intern no_intern;
-    if jobs < 1 then `Error (true, "--jobs must be >= 1")
-    else begin
+  let run scale only jobs fmt check_paper inject =
     let pop = Population.generate ~scale () in
     let analysis = Experiments.analyze ~jobs pop in
     let results = Experiments.run_all analysis in
@@ -1507,12 +1459,11 @@ let reproduce_cmd =
       print_results fmt selected;
       if check_paper then run_paper_check selected else `Ok ()
     end
-    end
   in
   Cmd.v
     (Cmd.info "reproduce" ~doc:"Regenerate the paper's tables and figures")
-    Term.(ret (const run $ scale_arg $ only_arg $ jobs_arg $ format_arg
-               $ check_paper_arg $ inject_deviation_arg $ no_intern_arg))
+    Term.(ret (const run $ scale_arg $ only_arg $ jobs_pipeline_arg $ format_arg
+               $ check_paper_arg $ inject_deviation_arg))
 
 let () =
   let doc = "Web PKI certificate-chain deployment and construction analysis" in

@@ -42,9 +42,9 @@ let slot_of_program p =
 type summary = { s_records : int; s_certs : int; s_root_hex : string }
 
 let save ~dir (analysis : Experiments.analysis) =
-  let dataset = analysis.Experiments.dataset in
   let pop = analysis.Experiments.pop in
-  let env = Population.env pop in
+  let view = analysis.Experiments.view in
+  let dataset = view.Experiments.v_dataset and env = view.Experiments.v_env in
   let w = Store.create dir in
   let certs_seen = Hashtbl.create 1024 in
   let add_cert c =
@@ -179,20 +179,8 @@ let referenced_fps st =
     (Store.env_entries st);
   tbl
 
-(* Segment scanning, leaf hashing and Merkle construction inside
-   [Store.open_] fan out over a transient Domain pool when [jobs > 1];
-   the decoded result is identical for any [jobs]. *)
-let with_par ~jobs f =
-  if jobs <= 1 then f Chaoschain_store.Par.seq
-  else begin
-    let pool = Pipeline.Pool.create ~jobs in
-    Fun.protect
-      ~finally:(fun () -> Pipeline.Pool.shutdown pool)
-      (fun () -> f (Pipeline.Pool.run pool))
-  end
-
 let load ?(jobs = 1) ?(use_index = true) dir =
-  match with_par ~jobs (fun par -> Store.open_ ~par ~use_index dir) with
+  match Pipeline.with_par ~jobs (fun par -> Store.open_ ~par ~use_index dir) with
   | Error e -> Error e
   | Ok st -> (
       try
@@ -297,48 +285,13 @@ let load ?(jobs = 1) ?(use_index = true) dir =
             now = required "timestamp" !now;
           }
         in
-        (* Rebuild the dataset statistics from the observation records. *)
-        let n = Array.length obs in
-        let reached_us = ref 0 and reached_au = ref 0 and identical = ref 0 in
-        let chain_tbl = Hashtbl.create (2 * n)
-        and cert_tbl = Hashtbl.create (4 * n) in
-        let chain_fps =
-          Array.map
-            (fun (_, flags, certs) ->
-              if flags land Scanner.flag_us <> 0 then incr reached_us;
-              if flags land Scanner.flag_au <> 0 then incr reached_au;
-              if flags land Scanner.flag_identical <> 0 then incr identical;
-              let fp = Scanner.chain_fingerprint certs in
-              Hashtbl.replace chain_tbl fp ();
-              List.iter
-                (fun c -> Hashtbl.replace cert_tbl (Cert.fingerprint c) ())
-                certs;
-              fp)
-            obs
-        in
-        let dataset =
-          {
-            Scanner.vantages =
-              [ { Scanner.name = "US"; reached = !reached_us;
-                  unreachable = n - !reached_us };
-                { Scanner.name = "AU"; reached = !reached_au;
-                  unreachable = n - !reached_au } ];
-            domains = Array.map (fun (d, _, certs) -> (d, certs)) obs;
-            chain_fps;
-            flags = Array.map (fun (_, flags, _) -> flags) obs;
-            unique_chains = Hashtbl.length chain_tbl;
-            unique_certs = Hashtbl.length cert_tbl;
-            tls12_tls13_identical_pct =
-              100.0 *. float_of_int !identical /. float_of_int n;
-          }
-        in
         Ok
           {
-            l_dataset = dataset;
+            l_dataset = Scanner.dataset_of obs;
             l_env = env;
             l_union_store = union_store;
             l_scale = Store.scale st;
-            l_records = n;
+            l_records = Array.length obs;
             l_certs = Store.cert_count st;
             l_root_hex = Store.root_hex st;
           }
@@ -347,25 +300,4 @@ let load ?(jobs = 1) ?(use_index = true) dir =
       | Wire.Short -> Error "corpus: short or malformed record payload")
 
 let analyze ?(jobs = 1) l =
-  (* Mirrors [Experiments.analyze]: classify each unique chain once, keyed
-     by its fingerprint, and fan the cached chain report back out. *)
-  let store = l.l_union_store in
-  let aia = l.l_env.Difftest.aia in
-  let memo = Pipeline.Memo.create () in
-  let items =
-    Pipeline.mapi ~jobs
-      (fun i (domain, chain) ->
-        let cr =
-          Pipeline.Memo.find_or_add memo l.l_dataset.Scanner.chain_fps.(i)
-            (fun () -> Compliance.analyze_chain ~store ~aia chain)
-        in
-        (domain, chain, Compliance.localize ~domain chain cr))
-      l.l_dataset.Scanner.domains
-  in
-  {
-    Experiments.v_dataset = l.l_dataset;
-    v_env = l.l_env;
-    v_items = items;
-    v_jobs = jobs;
-    v_memo = Pipeline.Memo.create ();
-  }
+  Experiments.view_of ~jobs ~store:l.l_union_store l.l_env l.l_dataset

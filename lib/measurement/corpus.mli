@@ -11,10 +11,11 @@
     population. Certificates are re-decoded through {!Intern}, so a replay
     deduplicates parses exactly like the live decode path.
 
-    [analyze] then reproduces the compliance classification over the loaded
-    corpus as an {!Experiments.view}: rendered through
-    {!Experiments.scan_results} it is byte-identical to the direct scan, for
-    any [jobs]. *)
+    [load] rebuilds the dataset with {!Scanner.dataset_of}, the reducer the
+    live scan uses, and [analyze] classifies it with
+    {!Experiments.view_of}, the live scan's classification pass: rendered
+    through {!Experiments.scan_results} the replay is byte-identical to the
+    direct scan, for any [jobs]. *)
 
 open Chaoschain_core
 open Chaoschain_pki
@@ -28,7 +29,8 @@ val save : dir:string -> Experiments.analysis -> summary
     analysis ran with. *)
 
 type loaded = {
-  l_dataset : Scanner.dataset;  (** rebuilt from observation records *)
+  l_dataset : Scanner.dataset;
+      (** {!Scanner.dataset_of} over the observation records *)
   l_env : Difftest.env;
   l_union_store : Root_store.t;
   l_scale : float;  (** population scale recorded at save time *)
@@ -51,6 +53,5 @@ val referenced_fps : Store.t -> (string, unit) Hashtbl.t
     malformed record, which a strictly opened store never has. *)
 
 val analyze : ?jobs:int -> loaded -> Experiments.view
-(** Re-run the compliance classification from disk, sharded over [jobs]
-    Domains (default 1), memoised per unique chain fingerprint — mirroring
-    [Experiments.analyze] over the live population. *)
+(** {!Experiments.view_of} over the loaded dataset, environment and union
+    root store, on [jobs] Domains (default 1). *)

@@ -4,44 +4,70 @@ open Chaoschain_pki
 module C = Calibration
 module R = Chaoschain_report.Report
 
+(* A [view] is the slice of an analysis the persisted corpus can reproduce:
+   no [Population.record]s (vendor and software labels are synthetic and not
+   stored), just each domain's served chain and its compliance report plus
+   the trust environment. The live scan and the replay ([Corpus.analyze])
+   both build theirs with [view_of], so replayed tables come from the same
+   reduce, the same classification pass and the same renderers as the
+   direct scan — byte-identical by construction. *)
+type view = {
+  v_dataset : Scanner.dataset;
+  v_env : Difftest.env;
+  v_items : (string * Cert.t list * Compliance.report) array;
+  v_jobs : int;
+  v_memo : Difftest.case Pipeline.Memo.t;
+}
+
+let view_of ~jobs ~store env dataset =
+  let aia = env.Difftest.aia in
+  (* Each unique chain is classified once; the per-domain leaf-placement
+     verdict is attached when the cached chain report is fanned back out. *)
+  let memo = Pipeline.Memo.create () in
+  let items =
+    Pipeline.mapi ~jobs
+      (fun i (domain, chain) ->
+        let cr =
+          Pipeline.Memo.find_or_add memo dataset.Scanner.chain_fps.(i) (fun () ->
+              Compliance.analyze_chain ~store ~aia chain)
+        in
+        (domain, chain, Compliance.localize ~domain chain cr))
+      dataset.Scanner.domains
+  in
+  { v_dataset = dataset; v_env = env; v_items = items; v_jobs = jobs;
+    v_memo = Pipeline.Memo.create () }
+
 type analysis = {
   pop : Population.t;
-  dataset : Scanner.dataset;
   reports : (Population.record * Compliance.report) array;
-  jobs : int;
-  difftest_memo : Difftest.case Pipeline.Memo.t;
+  view : view;
 }
 
 let analyze ?(jobs = 1) ?format pop =
   let dataset = Scanner.scan ~jobs ?format pop in
-  let store = Universe.union_store pop.Population.universe in
-  let aia = Universe.aia pop.Population.universe in
-  (* Each unique chain is classified once; the per-domain leaf-placement
-     verdict is attached when the cached chain report is fanned back out. *)
-  let memo = Pipeline.Memo.create () in
-  let reports =
-    Pipeline.mapi ~jobs
-      (fun i r ->
-        let cr =
-          Pipeline.Memo.find_or_add memo dataset.Scanner.chain_fps.(i) (fun () ->
-              Compliance.analyze_chain ~store ~aia r.Population.chain)
-        in
-        (r, Compliance.localize ~domain:r.Population.domain r.Population.chain cr))
-      pop.Population.domains
+  let view =
+    view_of ~jobs ~store:(Universe.union_store pop.Population.universe)
+      (Population.env pop) dataset
   in
-  { pop; dataset; reports; jobs; difftest_memo = Pipeline.Memo.create () }
+  let reports =
+    Array.map2 (fun r (_, _, rep) -> (r, rep)) pop.Population.domains view.v_items
+  in
+  { pop; reports; view }
+
+let view analysis = analysis.view
 
 (* Differential-test one domain, reusing the analysis-wide memo: chains with
    the same fingerprint (and the same leaf/domain match bit) are tested once
    and relabelled for every domain serving them. *)
-let difftest_record analysis (r : Population.record) =
-  let env = Population.env analysis.pop in
+let difftest_item view ~domain chain =
   let case =
-    Pipeline.Memo.find_or_add analysis.difftest_memo
-      (Difftest.chain_key ~domain:r.Population.domain r.Population.chain)
-      (fun () -> Difftest.run_case env ~domain:r.Population.domain r.Population.chain)
+    Pipeline.Memo.find_or_add view.v_memo (Difftest.chain_key ~domain chain)
+      (fun () -> Difftest.run_case view.v_env ~domain chain)
   in
-  Difftest.with_domain ~domain:r.Population.domain case
+  Difftest.with_domain ~domain case
+
+let difftest_record analysis (r : Population.record) =
+  difftest_item analysis.view ~domain:r.Population.domain r.Population.chain
 
 (* One [result] per table/figure: the typed report IR, rendered downstream
    with [Report.to_text] / [to_json] / [to_markdown]. *)
@@ -61,39 +87,6 @@ let paper_non_compliant_report rep =
   || rep.Compliance.completeness.Completeness.verdict = Completeness.Incomplete
 
 let paper_non_compliant (_, rep) = paper_non_compliant_report rep
-
-(* A [view] is the slice of an analysis the persisted corpus can reproduce:
-   no [Population.record]s (vendor and software labels are synthetic and not
-   stored), just each domain's served chain and its compliance report plus
-   the trust environment. Both the live path ([view] below) and the replay
-   path ([Corpus.analyze]) build one, so the replayed tables render through
-   exactly the code the direct scan used — byte-identical by construction. *)
-type view = {
-  v_dataset : Scanner.dataset;
-  v_env : Difftest.env;
-  v_items : (string * Cert.t list * Compliance.report) array;
-  v_jobs : int;
-  v_memo : Difftest.case Pipeline.Memo.t;
-}
-
-let view analysis =
-  {
-    v_dataset = analysis.dataset;
-    v_env = Population.env analysis.pop;
-    v_items =
-      Array.map
-        (fun (r, rep) -> (r.Population.domain, r.Population.chain, rep))
-        analysis.reports;
-    v_jobs = analysis.jobs;
-    v_memo = analysis.difftest_memo;
-  }
-
-let difftest_item view ~domain chain =
-  let case =
-    Pipeline.Memo.find_or_add view.v_memo (Difftest.chain_key ~domain chain)
-      (fun () -> Difftest.run_case view.v_env ~domain chain)
-  in
-  Difftest.with_domain ~domain case
 
 (* --- Table 1 --- *)
 
@@ -344,18 +337,19 @@ let table8 analysis =
         rep.Compliance.completeness.Completeness.verdict = Completeness.Incomplete)
       analysis.reports
   in
+  let chain_fps = analysis.view.v_dataset.Scanner.chain_fps in
   let additional program ~aia_enabled =
     let store = Universe.store u program in
     (* Fresh memo per (store, AIA) configuration: completeness is a pure
        function of the chain under that configuration. *)
     let memo = Pipeline.Memo.create () in
     let incomplete =
-      Pipeline.mapi ~jobs:analysis.jobs
+      Pipeline.mapi ~jobs:analysis.view.v_jobs
         (fun i (_, rep) ->
           if baseline_incomplete.(i) then false
           else
             let c =
-              Pipeline.Memo.find_or_add memo analysis.dataset.Scanner.chain_fps.(i)
+              Pipeline.Memo.find_or_add memo chain_fps.(i)
                 (fun () ->
                   Completeness.analyze ~aia_enabled ~store ~aia:aia_repo
                     rep.Compliance.topology)
@@ -771,7 +765,7 @@ let section5_2_view v =
   add (R.line [ R.S "OS intermediate store (paper: 8,373 fail, 180 rescued)" ]);
   { id = "section5.2"; title = "Section 5.2"; blocks = List.rev !blocks }
 
-let section5_2 analysis = section5_2_view (view analysis)
+let section5_2 analysis = section5_2_view analysis.view
 
 (* --- Section 6: recommendations made executable --- *)
 
@@ -912,7 +906,7 @@ let dataset_overview_of d =
          R.S " (paper: 98.8%)" ]);
   { id = "dataset"; title = "Section 3.1 dataset"; blocks = List.rev !blocks }
 
-let dataset_overview analysis = dataset_overview_of analysis.dataset
+let dataset_overview analysis = dataset_overview_of analysis.view.v_dataset
 
 let table_results v =
   let reports = Array.map (fun (_, _, rep) -> rep) v.v_items in
@@ -921,10 +915,10 @@ let table_results v =
 
 let scan_results v = table_results v @ [ section5_2_view v ]
 
-let run_all analysis =
-  [ dataset_overview analysis;
-    table1 (); table2 (); table3 analysis; table4 (); table5 analysis;
-    table6 analysis; table7 analysis; table8 analysis; table9 ();
-    table10 analysis; table11 analysis;
-    figure1 analysis; figure2 analysis; figure3 analysis; figure4 analysis;
-    figure5 analysis; section5_2 analysis; section6 analysis ]
+let suite =
+  [ dataset_overview;
+    (fun _ -> table1 ()); (fun _ -> table2 ()); table3; (fun _ -> table4 ());
+    table5; table6; table7; table8; (fun _ -> table9 ()); table10; table11;
+    figure1; figure2; figure3; figure4; figure5; section5_2; section6 ]
+
+let run_all analysis = List.map (fun f -> f analysis) suite

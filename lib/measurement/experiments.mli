@@ -2,44 +2,53 @@
     rendering the measured result next to the paper's reported value.
 
     [analyze] runs the server-side compliance pipeline once over a generated
-    population; individual experiments reuse that shared analysis. [run_all]
-    is what [bench/main.exe] and EXPERIMENTS.md generation call. *)
+    population; individual experiments reuse that shared analysis. {!suite}
+    is the one experiment list: [run_all] maps it, and [bench/main.exe]
+    times each entry of it. *)
 
 open Chaoschain_x509
 open Chaoschain_core
-
-type analysis = {
-  pop : Population.t;
-  dataset : Scanner.dataset;
-  reports : (Population.record * Compliance.report) array;
-  jobs : int;  (** Domain-pool size the downstream experiments reuse *)
-  difftest_memo : Difftest.case Pipeline.Memo.t;
-      (** analysis-wide cache: each unique chain is diff-tested once *)
-}
-
-val analyze :
-  ?jobs:int -> ?format:Chaoschain_tlssim.Certmsg.format -> Population.t ->
-  analysis
-(** Scan then classify the population on the {!Pipeline}: the corpus is
-    sharded deterministically, a pool of [jobs] Domains (default 1 =
-    sequential) drains the shards, and each unique chain — keyed by its
-    fingerprint from the scan — is classified once and fanned back out. The
-    result is byte-identical for every [jobs] value (and for either wire
-    [format] the scan parses the dataset from; see {!Scanner.scan}). *)
 
 type view = {
   v_dataset : Scanner.dataset;
   v_env : Difftest.env;
   v_items : (string * Cert.t list * Compliance.report) array;
       (** one (domain, served chain, report) per domain, in dataset order *)
-  v_jobs : int;
+  v_jobs : int;  (** Domain-pool size the downstream experiments reuse *)
   v_memo : Difftest.case Pipeline.Memo.t;
+      (** view-wide cache: each unique chain is diff-tested once *)
 }
 (** The slice of an analysis that a persisted corpus can reproduce: served
     chains, compliance reports and the trust environment — no synthetic
-    population labels. The live scan builds one with {!view}; replay builds
-    one from disk ([Corpus.analyze]); {!scan_results} renders both through
-    the same code, which is what makes replayed tables byte-identical. *)
+    population labels. The live scan and the replay ([Corpus.analyze]) both
+    build one with {!view_of}, and {!scan_results} renders both through the
+    same code, which is what makes replayed tables byte-identical. *)
+
+val view_of :
+  jobs:int -> store:Chaoschain_pki.Root_store.t -> Difftest.env ->
+  Scanner.dataset -> view
+(** The one classification pass: each unique chain of the dataset — keyed by
+    its [chain_fps] entry — is classified once against [store] and the
+    environment's AIA repository on a pool of [jobs] Domains, and the cached
+    chain report is fanned back out to every domain serving it. The result
+    is byte-identical for every [jobs] value. *)
+
+type analysis = {
+  pop : Population.t;
+  reports : (Population.record * Compliance.report) array;
+      (** each population record with its report, in dataset order *)
+  view : view;  (** the scanned dataset, its classification and env *)
+}
+
+val analyze :
+  ?jobs:int -> ?format:Chaoschain_tlssim.Certmsg.format -> Population.t ->
+  analysis
+(** {!Scanner.scan} the population, then {!view_of} the scanned dataset: the
+    chains classified are exactly the ones the scan decoded off the wire, as
+    on replay. The corpus is sharded deterministically, a pool of [jobs]
+    Domains (default 1 = sequential) drains the shards, and the result is
+    byte-identical for every [jobs] value (and for either wire [format] the
+    scan parses the dataset from). *)
 
 val view : analysis -> view
 
@@ -87,5 +96,8 @@ val scan_results : view -> result list
     3, 5 and 7, and section 5.2. [chaoscheck scan] and [chaoscheck replay]
     both print exactly this list. *)
 
-val run_all : analysis -> result list
+val suite : (analysis -> result) list
 (** Every experiment, in paper order. *)
+
+val run_all : analysis -> result list
+(** [List.map (fun f -> f a) suite]. *)

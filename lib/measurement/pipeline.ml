@@ -137,6 +137,13 @@ let run_tasks ~jobs n task =
       (fun () -> Pool.run pool n task)
   end
 
+let with_par ~jobs f =
+  if jobs <= 1 then f Chaoschain_store.Par.seq
+  else begin
+    let pool = Pool.create ~jobs in
+    Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Pool.run pool))
+  end
+
 let map_shards ?(jobs = 1) f arr =
   let slices = Shard.plan (Array.length arr) in
   let run_slice (s : Shard.slice) =

@@ -38,6 +38,13 @@ module Pool : sig
   (** Joins the workers. The pool must not be used afterwards. *)
 end
 
+val with_par : jobs:int -> (Chaoschain_store.Par.t -> 'a) -> 'a
+(** [with_par ~jobs f] hands [f] a {!Chaoschain_store.Par.t} runner: the
+    sequential one for [jobs <= 1], otherwise {!Pool.run} on a transient
+    pool of [jobs] Domains that is shut down when [f] returns or raises.
+    The chainstore's open, compaction and fuzzing take their parallelism
+    through it. *)
+
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel [Array.map]. [jobs] defaults to 1; any value
     [<= 1] takes the sequential code path ([Array.map] itself). The function

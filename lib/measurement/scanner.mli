@@ -43,6 +43,13 @@ val chain_fingerprint : Cert.t list -> string
 (** SHA-256 of the concatenated certificate fingerprints — the canonical
     chain identity used by the memo caches. *)
 
+val dataset_of : (string * int * Cert.t list) array -> dataset
+(** The one reduce from per-domain observations (domain, probe-outcome
+    flags, served chain) to a dataset: vantage totals, chain fingerprints,
+    dedup counts and the TLS 1.2/1.3 agreement share. {!scan} feeds it the
+    probes it just made; [Corpus.load] feeds it persisted observation
+    records, so a replayed dataset is the live one by construction. *)
+
 val scan :
   ?jobs:int -> ?format:Chaoschain_tlssim.Certmsg.format -> Population.t ->
   dataset

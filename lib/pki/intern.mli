@@ -27,8 +27,9 @@ val cert_of_sub :
 
 val set_enabled : bool -> unit
 (** Globally enable/disable interning (default: enabled). When disabled the
-    functions above parse unconditionally — used by [--no-intern] for A/B
-    debugging. *)
+    functions above parse unconditionally — the reference path that the
+    intern on/off test and the bench's [pem/decode-chain(no-intern)] and
+    [--smoke] cross-checks compare against. *)
 
 val enabled : unit -> bool
 

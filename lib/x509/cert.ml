@@ -89,14 +89,15 @@ let tbs_to_der (tbs : tbs) =
     | exts -> [ Der.context 3 [ Der.sequence (List.map Extension.to_der exts) ] ])
 
 let create tbs signature =
-  let raw_tbs = Der.encode (tbs_to_der tbs) in
-  let cert_der =
-    Der.sequence
-      [ (match Der.decode raw_tbs with Ok v -> v | Error _ -> assert false);
-        alg_identifier signature.Keys.sig_alg;
-        Der.bit_string signature.Keys.sig_bytes ]
+  let tbs_der = tbs_to_der tbs in
+  let raw_tbs = Der.encode tbs_der in
+  let raw =
+    Der.encode
+      (Der.sequence
+         [ tbs_der;
+           alg_identifier signature.Keys.sig_alg;
+           Der.bit_string signature.Keys.sig_bytes ])
   in
-  let raw = Der.encode cert_der in
   make ~tbs ~signature ~raw ~raw_tbs ~fp:(Sha256.digest raw)
 
 let tbs t = t.tbs

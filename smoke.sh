@@ -116,6 +116,11 @@ if "$chaoscheck" diff "$rstore" "$store" > "$rstore/diff.out"; then
   exit 1
 fi
 grep -q '^dataset/' "$rstore/diff.out"
+# Every --jobs option rejects a pool of zero Domains at parse time.
+if "$chaoscheck" scan --scale 0.002 --jobs 0 > /dev/null 2>&1; then
+  echo "scan --jobs 0 unexpectedly succeeded" >&2
+  exit 1
+fi
 
 # parallel-scan race smoke: the measurement pool's Domains share the
 # signature memo and the intern table. Three --jobs 4 scans must each finish

@@ -85,11 +85,14 @@ let analysis_jobs_invariant () =
     (fun (v1 : Scanner.vantage) v4 ->
       Alcotest.(check int) (v1.Scanner.name ^ " reached") v1.Scanner.reached
         v4.Scanner.reached)
-    a1.Experiments.dataset.Scanner.vantages a4.Experiments.dataset.Scanner.vantages;
+    a1.Experiments.view.Experiments.v_dataset.Scanner.vantages
+    a4.Experiments.view.Experiments.v_dataset.Scanner.vantages;
   Alcotest.(check (array string)) "chain fingerprints"
-    a1.Experiments.dataset.Scanner.chain_fps a4.Experiments.dataset.Scanner.chain_fps;
-  Alcotest.(check int) "unique chains" a1.Experiments.dataset.Scanner.unique_chains
-    a4.Experiments.dataset.Scanner.unique_chains;
+    a1.Experiments.view.Experiments.v_dataset.Scanner.chain_fps
+    a4.Experiments.view.Experiments.v_dataset.Scanner.chain_fps;
+  Alcotest.(check int) "unique chains"
+    a1.Experiments.view.Experiments.v_dataset.Scanner.unique_chains
+    a4.Experiments.view.Experiments.v_dataset.Scanner.unique_chains;
   (* Reports: same domains in the same order with the same verdicts. *)
   Alcotest.(check int) "report count" (Array.length a1.Experiments.reports)
     (Array.length a4.Experiments.reports);

@@ -5,7 +5,8 @@
    store writer/reader round-trip with content-address deduplication,
    random access and inclusion proofs with and without the persisted
    sidecars, certificate-segment compaction, corpus save -> load -> replay
-   byte-identity (jobs-invariant), truncated-tail crash recovery via audit,
+   byte-identity (jobs-invariant) and field-by-field dataset and report
+   identity with the live scan, truncated-tail crash recovery via audit,
    and warm-store cache pre-fill. *)
 
 open Chaoschain_measurement
@@ -643,7 +644,7 @@ let saved =
 let corpus_replay_identical () =
   let analysis, dir, summary = Lazy.force saved in
   Alcotest.(check int) "one record per domain"
-    (Array.length analysis.Experiments.dataset.Scanner.domains)
+    (Array.length analysis.Experiments.view.Experiments.v_dataset.Scanner.domains)
     summary.Corpus.s_records;
   match Corpus.load dir with
   | Error e -> Alcotest.fail ("load failed: " ^ e)
@@ -660,6 +661,44 @@ let corpus_replay_identical () =
       | Ok loaded' ->
           Alcotest.(check string) "replay jobs-invariant" replay1
             (render (Corpus.analyze ~jobs:4 loaded'))
+
+(* The replayed dataset and classification are the live ones, field by
+   field — not only after rendering. *)
+let corpus_replay_dataset_identical () =
+  let analysis, dir, _ = Lazy.force saved in
+  match Corpus.load dir with
+  | Error e -> Alcotest.fail ("load failed: " ^ e)
+  | Ok loaded ->
+      let live = Experiments.view analysis in
+      let d = live.Experiments.v_dataset and r = loaded.Corpus.l_dataset in
+      Alcotest.(check (list (triple string int int))) "vantages"
+        (List.map
+           (fun v -> Scanner.(v.name, v.reached, v.unreachable))
+           d.Scanner.vantages)
+        (List.map
+           (fun v -> Scanner.(v.name, v.reached, v.unreachable))
+           r.Scanner.vantages);
+      Alcotest.(check (array string)) "chain_fps" d.Scanner.chain_fps
+        r.Scanner.chain_fps;
+      Alcotest.(check (array int)) "flags" d.Scanner.flags r.Scanner.flags;
+      Alcotest.(check int) "unique_chains" d.Scanner.unique_chains
+        r.Scanner.unique_chains;
+      Alcotest.(check int) "unique_certs" d.Scanner.unique_certs
+        r.Scanner.unique_certs;
+      Alcotest.(check (float 0.)) "tls12_tls13_identical_pct"
+        d.Scanner.tls12_tls13_identical_pct r.Scanner.tls12_tls13_identical_pct;
+      let ders chain = List.map Chaoschain_x509.Cert.to_der chain in
+      let domain_item (domain, chain) = (domain, ders chain) in
+      Alcotest.(check (array (pair string (list string)))) "domains"
+        (Array.map domain_item d.Scanner.domains)
+        (Array.map domain_item r.Scanner.domains);
+      let item (domain, chain, rep) =
+        (domain, ders chain,
+         Format.asprintf "%a" Chaoschain_core.Compliance.pp_report rep)
+      in
+      Alcotest.(check (array (triple string (list string) string))) "items"
+        (Array.map item live.Experiments.v_items)
+        (Array.map item (Corpus.analyze ~jobs:2 loaded).Experiments.v_items)
 
 let corpus_save_deterministic () =
   let analysis, _, summary = Lazy.force saved in
@@ -847,6 +886,8 @@ let suite =
       store_random_access_and_proofs;
     Alcotest.test_case "compaction preserves ROOT" `Quick store_compaction;
     Alcotest.test_case "corpus replay byte-identical" `Slow corpus_replay_identical;
+    Alcotest.test_case "corpus replay dataset identical" `Slow
+      corpus_replay_dataset_identical;
     Alcotest.test_case "corpus save deterministic" `Slow corpus_save_deterministic;
     Alcotest.test_case "truncated-tail recovery" `Slow corpus_truncated_tail_recovery;
     Alcotest.test_case "warm-store pre-fill" `Slow corpus_warm_engine;
